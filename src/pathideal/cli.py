@@ -21,6 +21,7 @@ from .verify import (
     METHOD_DECOMPOSITION,
     METHOD_WITNESS,
     VERDICT_FAIL,
+    _is_budget,
     empirical_astab,
     grid_scan,
     load_config,
@@ -31,6 +32,19 @@ from .verify import (
 
 FORMAT_TEXT = "text"
 FORMAT_STRUCTURED = "structured"
+
+
+def _budget(text: str) -> float:
+    """argparse type for --budget: the rule validate_config applies to cell budgets."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if not _is_budget(value):
+        raise argparse.ArgumentTypeError(
+            f"budget must be a finite number of seconds above zero, got {text!r}"
+        )
+    return value
 
 
 def _emit(payload: dict, text_lines: list[str], fmt: str) -> None:
@@ -257,14 +271,14 @@ def build_parser() -> argparse.ArgumentParser:
         default="decomposition",
         help="two-sided decomposition (default) or one-sided witness checks",
     )
-    p.add_argument("--budget", type=float, default=60.0, help="cell budget in seconds")
+    p.add_argument("--budget", type=_budget, default=60.0, help="cell budget in seconds")
     p.set_defaults(func=_cmd_ass)
 
     p = sub.add_parser("persistence", parents=[common], help="scan chain inclusions up to kmax")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--budget", type=float, default=60.0)
+    p.add_argument("--budget", type=_budget, default=60.0)
     p.set_defaults(func=_cmd_persistence)
 
     p = sub.add_parser("astab", parents=[common], help="empirical index of stability up to kmax")

@@ -1,27 +1,53 @@
 """Irreducible decomposition of monomial ideals by recursive splitting.
 
-The splitting rule is deterministic: take the first generator (in canonical
-order) whose support has at least two variables, peel off its smallest
-variable as a pure power, and recurse on the two enlarged ideals.  Results
-are memoized per canonical ideal in a bounded LRU cache, components are
-pruned to an irredundant set, and associated primes are read off as the
-radicals (support sets) of the surviving components.
+The public functions take and return MonomialIdeal, Monomial and
+IrreducibleComponent objects.  The recursion between them runs on raw
+exponent tuples: the ideal's generators are read once at the start, and the
+components are built once at the end.
+
+A node of the splitting tree is the tuple of its minimal generators'
+exponent tuples in canonical order (degree, then canonical text).  The
+splitting rule is deterministic: take the first generator g whose support has
+at least two variables, peel off its smallest variable x_i^a, and recurse on
+node + <x_i^a> and node + <g / x_i^a>, whose intersection is the node.  A node
+whose generators are all pure powers is irreducible.  Results are memoized
+per node in a bounded LRU cache keyed on the node tuple, and associated primes
+are read off as the radicals (support sets) of the surviving components.
+
+Inside the recursion a component is a dense exponent vector in which an
+unused variable reads as infinity, so component c contains component d iff
+c <= d componentwise.  Merging a node's two children drops every component
+that contains another, and keeps an exact duplicate once.  This prune is
+complete: a pure-power component Q contains an intersection of others only if
+it contains one of them (the lcm of per-component witnesses outside Q stays
+outside Q), so what survives is irredundant.  Each child's result is already
+irredundant, so no component contains another from its own side and only
+pairs across the two sides are compared.  Among those, c can contain d only
+if d's support is a subset of c's, so components are grouped by support mask
+and only nested groups are compared.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from bisect import insort
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
-from typing import Iterable, Mapping, Optional, Sequence
+from operator import le
+from typing import Mapping, Optional, Sequence
 
 from .ideal import MonomialIdeal
-from .monomial import Monomial
+from .monomial import EXPONENT_CAP, Monomial, exponent_text
 
 DEFAULT_CACHE_SIZE = 1 << 16
+
+# Kernel data (see the module docstring): a node is the exponent tuples of
+# its minimal generators in canonical order; a component is a dense vector.
+_Node = tuple[tuple[int, ...], ...]
+_Components = tuple[tuple[int, ...], ...]
 
 WITNESS_IN_POWER = "u in I^k"
 WITNESS_COLON_TOO_BIG = "colon too big"
@@ -91,12 +117,6 @@ class IrreducibleComponent:
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.powers)
 
-    def support_mask(self) -> int:
-        mask = 0
-        for i, _ in self.powers:
-            mask |= 1 << i
-        return mask
-
     def radical_prime(self) -> VarPrime:
         return VarPrime(self.nvars, self.support())
 
@@ -104,15 +124,6 @@ class IrreducibleComponent:
         return MonomialIdeal._from_minimal(
             self.nvars, (Monomial.variable(i, self.nvars, a) for i, a in self.powers)
         )
-
-    def ideal_contains(self, other: IrreducibleComponent) -> bool:
-        """True iff other is a subset of self as ideals (componentwise exponent test)."""
-        mine = dict(self.powers)
-        for i, b in other.powers:
-            a = mine.get(i)
-            if a is None or a > b:
-                return False
-        return True
 
     def gens_text(self) -> list[str]:
         return [f"x{i}^{a}" if a > 1 else f"x{i}" for i, a in self.powers]
@@ -122,7 +133,7 @@ class IrreducibleComponent:
 
 
 class DecompositionCache:
-    """Bounded, thread-safe LRU memo keyed on the canonical ideal.
+    """Bounded, thread-safe LRU memo from splitting-tree nodes to their components.
 
     The splitting recursion revisits identical subideals heavily; the cap
     bounds memory on large powers, with least-recently-used eviction.
@@ -132,12 +143,12 @@ class DecompositionCache:
         if maxsize < 1:
             raise ValueError("cache size must be positive")
         self.maxsize = maxsize
-        self._data: OrderedDict[MonomialIdeal, tuple[IrreducibleComponent, ...]] = OrderedDict()
+        self._data: OrderedDict[_Node, _Components] = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
-    def get(self, key: MonomialIdeal) -> Optional[tuple[IrreducibleComponent, ...]]:
+    def get(self, key: _Node) -> Optional[_Components]:
         with self._lock:
             value = self._data.get(key)
             if value is None:
@@ -147,7 +158,7 @@ class DecompositionCache:
             self.hits += 1
             return value
 
-    def put(self, key: MonomialIdeal, value: tuple[IrreducibleComponent, ...]) -> None:
+    def put(self, key: _Node, value: _Components) -> None:
         with self._lock:
             self._data[key] = value
             self._data.move_to_end(key)
@@ -166,29 +177,9 @@ class DecompositionCache:
 
 _default_cache = DecompositionCache()
 
-
-def _prune_contained(components: Iterable[IrreducibleComponent]) -> list[IrreducibleComponent]:
-    """Drop duplicates and every component that contains another component.
-
-    For pure-power components this containment prune is complete: an
-    intersection of such components lies inside Q only if one of them does
-    (take the lcm of per-component witnesses outside Q), so what survives is
-    already irredundant.
-    """
-    unique = sorted(set(components), key=lambda c: c.sort_key)
-    masks = [c.support_mask() for c in unique]
-    kept: list[IrreducibleComponent] = []
-    for i, c in enumerate(unique):
-        redundant = False
-        for j, other in enumerate(unique):
-            # distinct components are distinct ideals, so containment is strict;
-            # c can only contain other if other's support is a subset of c's
-            if i != j and masks[i] & masks[j] == masks[j] and c.ideal_contains(other):
-                redundant = True
-                break
-        if not redundant:
-            kept.append(c)
-    return kept
+# The exponent of a variable a component does not use.  Monomial exponents
+# never exceed EXPONENT_CAP, so it compares above every real exponent.
+_ABSENT = EXPONENT_CAP + 1
 
 
 def intersect_components(
@@ -202,54 +193,70 @@ def intersect_components(
     return reduce(lambda a, b: a.intersect(b), ideals)
 
 
-def irredundant_filter(
-    components: Iterable[IrreducibleComponent], ideal: MonomialIdeal
-) -> tuple[IrreducibleComponent, ...]:
-    """Reduce a decomposition of `ideal` to an irredundant one.
+def _split(node: _Node, order: dict) -> Optional[tuple[_Node, _Node]]:
+    """The two children of a node, or None when every generator is a pure power.
 
-    First pass: pairwise pure-power containment (cheap).  Second pass: drop
-    any component whose removal leaves the intersection equal to `ideal`,
-    recomputing after each removal.  The second pass is an exact safeguard;
-    after the first it does not fire for pure-power components.
+    The pivot g is the first generator in canonical order with at least two
+    variables; with x_i its smallest variable and a its exponent there, the
+    children are node + <x_i^a> and node + <g / x_i^a>.  Neither new
+    generator lies in the node: a generator dividing it would divide g,
+    against minimality.  So a child is the node without the generators the
+    new one divides, plus the new one at its canonical place.
     """
-    kept = _prune_contained(components)
-    changed = True
-    while changed and len(kept) > 1:
-        changed = False
-        # prefix[i] = intersection of kept[:i], suffix[i] = intersection of kept[i+1:]
-        n = len(kept)
-        prefix: list[Optional[MonomialIdeal]] = [None] * (n + 1)
-        suffix: list[Optional[MonomialIdeal]] = [None] * (n + 1)
-        for i, c in enumerate(kept):
-            ci = c.as_ideal()
-            prefix[i + 1] = ci if prefix[i] is None else prefix[i].intersect(ci)
-        for i in range(n - 1, -1, -1):
-            ci = kept[i].as_ideal()
-            suffix[i] = ci if suffix[i + 1] is None else suffix[i + 1].intersect(ci)
-        for i in range(n):
-            left = prefix[i]
-            right = suffix[i + 1]
-            if left is None:
-                others = right
-            elif right is None:
-                others = left
-            else:
-                others = left.intersect(right)
-            if others == ideal:
-                del kept[i]
-                changed = True
-                break
-    return tuple(sorted(kept, key=lambda c: c.sort_key))
+    for g in node:
+        if len(g) - g.count(0) >= 2:
+            break
+    else:
+        return None
+    i = next(j for j, e in enumerate(g) if e)
+    a = g[i]
+    power = (0,) * i + (a,) + (0,) * (len(g) - i - 1)
+    rest = g[:i] + (0,) + g[i + 1 :]
+    return (
+        _insert_generator([h for h in node if h[i] < a], power, order),
+        _insert_generator([h for h in node if not all(map(le, rest, h))], rest, order),
+    )
 
 
-def _split_pivot(ideal: MonomialIdeal) -> Optional[tuple[Monomial, int, int]]:
-    """First mixed-support generator with its smallest variable and exponent."""
-    for g in ideal.gens:
-        support = [i for i, e in enumerate(g.exponents, start=1) if e > 0]
-        if len(support) >= 2:
-            i = support[0]
-            return g, i, g.exponents[i - 1]
-    return None
+def _insert_generator(kept: list, m: tuple[int, ...], order: dict) -> _Node:
+    """The node kept + [m] in canonical order.
+
+    `order` maps exponent tuples to Monomial.sort_key values, filled on demand.
+    """
+    if m not in order:
+        order[m] = (sum(m), exponent_text(m))
+    insort(kept, m, key=order.__getitem__)
+    return tuple(kept)
+
+
+def _support_groups(components) -> dict[int, list]:
+    """Components grouped by support, as a bit mask over variable positions."""
+    groups: dict[int, list] = {}
+    for c in components:
+        mask = sum(1 << j for j, e in enumerate(c) if e != _ABSENT)
+        groups.setdefault(mask, []).append(c)
+    return groups
+
+
+def _prune(left: _Components, right: _Components) -> _Components:
+    """The irredundant union of two irredundant decompositions.
+
+    Each side is an antichain under containment, so only cross pairs can be
+    redundant, and a component that contains another is dropped.  An exact
+    duplicate is kept once.  A component contains another only if the
+    other's support is a subset of its own, so only such support groups are
+    compared.
+    """
+    seen = set(left)
+    right = [d for d in right if d not in seen]
+    left_groups = _support_groups(left)
+    right_groups = _support_groups(right)
+    kept = []
+    for ours, theirs in ((left_groups, right_groups), (right_groups, left_groups)):
+        for mask, comps in ours.items():
+            rivals = [d for m, ds in theirs.items() if m & mask == m for d in ds]
+            kept.extend(c for c in comps if not any(all(map(le, c, d)) for d in rivals))
+    return tuple(kept)
 
 
 def irreducible_decomposition(
@@ -268,63 +275,50 @@ def irreducible_decomposition(
         raise ValueError("the zero ideal has no irreducible decomposition")
     if cache is None:
         cache = _default_cache
+    # canonical sort keys of the generators seen in this call
+    order = {g.exponents: g.sort_key for g in ideal.gens}
 
     # Iterative post-order over the splitting tree.  Each frame pins its
     # children's results so LRU eviction can never force recomputation of a
     # value an in-flight parent still needs.
-    # frame = [ideal, children (None until expanded), collected child results]
-    root_result: Optional[tuple[IrreducibleComponent, ...]] = None
-    stack: list[list] = [[ideal, None, []]]
+    # frame = [node, children (None until expanded), collected child results]
+    root_result: Optional[_Components] = None
+    stack: list[list] = [[tuple(g.exponents for g in ideal.gens), None, []]]
     while stack:
         if deadline is not None and time.monotonic() > deadline:
             raise DeadlineExceeded("decomposition exceeded its time budget")
         frame = stack[-1]
-        current, children, results = frame
-
-        def finish(value: tuple[IrreducibleComponent, ...]) -> None:
-            nonlocal root_result
-            stack.pop()
-            if stack:
-                stack[-1][2].append(value)
-            else:
-                root_result = value
-
+        node, children, results = frame
         if children is None:
-            cached = cache.get(current)
-            if cached is not None:
-                finish(cached)
-                continue
-            pivot = _split_pivot(current)
-            if pivot is None:
+            value = cache.get(node)
+            if value is None:
+                children = _split(node, order)
+                if children is not None:
+                    frame[1] = children
+                    continue
                 # every generator is a pure variable power: irreducible already
-                comp = IrreducibleComponent(
-                    current.nvars,
-                    tuple(
-                        (i, e)
-                        for g in current.gens
-                        for i, e in enumerate(g.exponents, start=1)
-                        if e > 0
-                    ),
-                )
-                value = (comp,)
-                cache.put(current, value)
-                finish(value)
-                continue
-            g, i, a = pivot
-            xi = Monomial.variable(i, current.nvars, a)
-            frame[1] = (current._with_generator(xi), current._with_generator(g.quotient(xi)))
-            continue
-        if len(results) < len(children):
+                value = (tuple(max(column) or _ABSENT for column in zip(*node)),)
+                cache.put(node, value)
+        elif len(results) < len(children):
             stack.append([children[len(results)], None, []])
             continue
-        merged = tuple(_prune_contained(results[0] + results[1]))
-        cache.put(current, merged)
-        finish(merged)
+        else:
+            value = _prune(*results)
+            cache.put(node, value)
+        stack.pop()
+        if stack:
+            stack[-1][2].append(value)
+        else:
+            root_result = value
 
     assert root_result is not None
-    # containment pruning is complete for pure-power components (see
-    # _prune_contained), so the merged result is already irredundant
-    return tuple(sorted(root_result, key=lambda c: c.sort_key))
+    components = (
+        IrreducibleComponent(
+            ideal.nvars, tuple((j, e) for j, e in enumerate(c, start=1) if e != _ABSENT)
+        )
+        for c in root_result
+    )
+    return tuple(sorted(components, key=lambda c: c.sort_key))
 
 
 def associated_primes(

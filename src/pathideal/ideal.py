@@ -218,16 +218,3 @@ class MonomialIdeal:
 
     def radical(self) -> MonomialIdeal:
         return MonomialIdeal(self.nvars, (g.squarefree_part() for g in self.gens))
-
-    # -- decomposition support ---------------------------------------------------
-
-    def _with_generator(self, m: Monomial) -> MonomialIdeal:
-        """Sum with a single principal ideal; assumes self is already minimal."""
-        self._check_monomial(m)
-        if m.is_unit:
-            raise ImproperIdeal("the unit ideal is not representable")
-        if self.contains(m):
-            return self
-        kept = [g for g in self.gens if not m.divides(g)]
-        kept.append(m)
-        return MonomialIdeal._from_minimal(self.nvars, kept)

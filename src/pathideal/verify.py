@@ -10,6 +10,7 @@ such in the report.
 from __future__ import annotations
 
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -41,6 +42,21 @@ DEFAULT_CELL_BUDGET_SECONDS = 60.0
 
 class ConfigError(ValueError):
     """A scan configuration failed validation."""
+
+
+def _is_count(value) -> bool:
+    """A positive integer; booleans are ints to Python but not counts here."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _is_budget(value) -> bool:
+    """A finite number of seconds above zero; a NaN deadline would never fire."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and value > 0
+    )
 
 
 @lru_cache(maxsize=256)
@@ -210,7 +226,8 @@ def persistence_scan(
     """Associated primes for k = 1..kmax with chain-inclusion flags.
 
     Each report's persistence flag records whether the computed set at k
-    contains the computed set at k-1 (vacuously true at k = 1).
+    contains the computed set at k-1 (vacuously true at k = 1).  The computed
+    set is read back from the report, as predicted - missing + extra.
     """
     if kmax < 2:
         raise ValueError("kmax must be at least 2")
@@ -224,7 +241,7 @@ def persistence_scan(
             n, t, k, METHOD_DECOMPOSITION, budget_seconds=budget_seconds, cache=cache
         )
         if report.verdict != VERDICT_SKIPPED:
-            computed = set(associated_primes(path_power(n, t, k), cache=cache))
+            computed = (set(predicted_ass(n, t, k)) - set(report.missing)) | set(report.extra)
             report.persistence = True if previous is None else previous <= computed
             previous = computed
         reports.append(report)
@@ -309,7 +326,7 @@ def validate_config(config: dict) -> dict:
     if (
         not isinstance(t_values, list)
         or not t_values
-        or not all(isinstance(t, int) and t >= 1 for t in t_values)
+        or not all(_is_count(t) for t in t_values)
     ):
         raise ConfigError("t_values must be a non-empty list of positive integers")
     for key in ("n_range", "k_range"):
@@ -317,17 +334,15 @@ def validate_config(config: dict) -> dict:
         if (
             not isinstance(rng, list)
             or len(rng) != 2
-            or not all(isinstance(v, int) and v >= 1 for v in rng)
+            or not all(_is_count(v) for v in rng)
             or rng[0] > rng[1]
         ):
             raise ConfigError(f"{key} must be [lo, hi] with 1 <= lo <= hi")
     if merged["method"] not in (METHOD_DECOMPOSITION, METHOD_WITNESS):
         raise ConfigError(f"method must be {METHOD_DECOMPOSITION!r} or {METHOD_WITNESS!r}")
-    budget = merged["cell_budget_seconds"]
-    if not isinstance(budget, (int, float)) or budget <= 0:
-        raise ConfigError("cell_budget_seconds must be positive")
-    parallelism = merged["parallelism"]
-    if not isinstance(parallelism, int) or parallelism < 1:
+    if not _is_budget(merged["cell_budget_seconds"]):
+        raise ConfigError("cell_budget_seconds must be a finite number above zero")
+    if not _is_count(merged["parallelism"]):
         raise ConfigError("parallelism must be a positive integer")
     if not isinstance(merged["include_timings"], bool):
         raise ConfigError("include_timings must be a boolean")

@@ -13,7 +13,6 @@ from pathideal import (
     associated_primes,
     ind_ideal,
     intersect_components,
-    irredundant_filter,
     irreducible_decomposition,
     minimal_primes_squarefree,
     verify_witness,
@@ -22,6 +21,8 @@ from pathideal.decomposition import (
     WITNESS_COLON_TOO_BIG,
     WITNESS_COLON_TOO_SMALL,
     WITNESS_IN_POWER,
+    _ABSENT,
+    _prune,
 )
 
 from helpers import brute_witness_primes, random_ideal, random_squarefree_ideal
@@ -75,7 +76,13 @@ class TestSplitting:
             assert intersect_components(comps, I.nvars) == I
 
     def test_removing_any_component_enlarges_intersection(self):
-        for I in (ind_ideal(5, 2).power(2), ind_ideal(4, 2).power(3)):
+        inputs = (
+            ind_ideal(4, 2),
+            ind_ideal(5, 2).power(2),
+            ind_ideal(4, 2).power(3),
+            ind_ideal(6, 3).power(2),
+        )
+        for I in inputs:
             comps = irreducible_decomposition(I)
             for i in range(len(comps)):
                 rest = comps[:i] + comps[i + 1 :]
@@ -90,33 +97,40 @@ class TestSplitting:
         tiny = irreducible_decomposition(I, cache=DecompositionCache(maxsize=8))
         assert first == second == tiny
 
+    def test_split_node_counts_pinned(self):
+        # misses are split nodes; the counts are deterministic for a fresh cache
+        for n, t, k, misses, hits, count in [
+            (6, 2, 3, 655, 318, 80),
+            (7, 3, 3, 1866, 685, 97),
+            (7, 3, 4, 6746, 2943, 230),
+        ]:
+            cache = DecompositionCache()
+            comps = irreducible_decomposition(ind_ideal(n, t).power(k), cache=cache)
+            assert (cache.misses, cache.hits, len(comps)) == (misses, hits, count)
+
     def test_cache_eviction_keeps_results_correct(self):
         I = ind_ideal(5, 2).power(2)
         unbounded = irreducible_decomposition(I, cache=DecompositionCache())
         assert irreducible_decomposition(I, cache=DecompositionCache(maxsize=2)) == unbounded
 
 
-class TestIrredundantFilter:
+class TestPrune:
+    # components as dense exponent vectors; _ABSENT marks an unused variable
     def test_containment_prune(self):
-        I = MonomialIdeal(2, [Monomial((1, 0))])
-        filtered = irredundant_filter([comp(2, x1=1), comp(2, x1=1, x2=1)], I)
-        assert filtered == (comp(2, x1=1),)
+        # <x1, x2> contains <x1>, from either side
+        x1, x1_x2 = (1, _ABSENT), (1, 1)
+        assert _prune((x1,), (x1_x2,)) == (x1,)
+        assert _prune((x1_x2,), (x1,)) == (x1,)
 
-    def test_already_irredundant_unchanged(self):
-        I = ind_ideal(4, 2)
-        comps = irreducible_decomposition(I)
-        assert irredundant_filter(comps, I) == comps
+    def test_duplicate_kept_once(self):
+        x1, x2, squares = (1, _ABSENT), (_ABSENT, 1), (2, 2)
+        pruned = _prune((x1, x2), (x1, squares))
+        assert sorted(pruned) == sorted([x1, x2, squares])
 
-    def test_exact_stage_removes_intersection_redundancy(self):
-        # <x1*x2> = <x1> ∩ <x2>; a duplicate exponent copy of <x1> is redundant
-        I = MonomialIdeal(2, [Monomial((1, 1))])
-        candidates = [comp(2, x1=1), comp(2, x2=1), comp(2, x1=1, x2=1)]
-        assert irredundant_filter(candidates, I) == (comp(2, x1=1), comp(2, x2=1))
-
-    def test_noop_on_engine_output(self):
-        for I in (ind_ideal(5, 2).power(2), ind_ideal(6, 3).power(2)):
-            comps = irreducible_decomposition(I)
-            assert irredundant_filter(comps, I) == comps
+    def test_incomparable_supports_kept(self):
+        left = ((1, _ABSENT, 2), (_ABSENT, 3, _ABSENT))
+        right = ((_ABSENT, _ABSENT, 1), (2, 4, _ABSENT))
+        assert sorted(_prune(left, right)) == sorted(left + right)
 
 
 class TestAssociatedPrimes:

@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from pathideal import PathCase, empirical_astab, grid_scan, persistence_scan, verify_cell
+from pathideal import (
+    DecompositionCache,
+    PathCase,
+    empirical_astab,
+    grid_scan,
+    persistence_scan,
+    verify_cell,
+)
 from pathideal.cli import main
 from pathideal.verify import (
     ConfigError,
@@ -13,6 +20,7 @@ from pathideal.verify import (
     VERDICT_PASS,
     VERDICT_SKIPPED,
     VERDICT_ZERO,
+    load_config,
     validate_config,
 )
 
@@ -71,6 +79,15 @@ class TestPersistenceScan:
         with pytest.raises(ValueError):
             persistence_scan(5, 2, 1)
 
+    def test_reuses_each_cell_decomposition(self):
+        scan_cache = DecompositionCache()
+        reports = persistence_scan(6, 2, 3, cache=scan_cache)
+        assert [r.persistence for r in reports] == [True, True, True]
+        cell_cache = DecompositionCache()
+        for k in (1, 2, 3):
+            verify_cell(6, 2, k, cache=cell_cache)
+        assert scan_cache.hits == cell_cache.hits
+
 
 class TestEmpiricalAstab:
     def test_wide_case_matches_prediction(self):
@@ -111,11 +128,26 @@ class TestConfig:
             {"parallelism": 0},
             {"cell_budget_seconds": -1},
             {"include_timings": "yes"},
+            {"cell_budget_seconds": float("nan")},
+            {"cell_budget_seconds": float("inf")},
+            {"cell_budget_seconds": True},
+            {"parallelism": True},
+            {"t_values": [True]},
+            {"n_range": [True, 3]},
+            {"k_range": [1, True]},
         ],
     )
     def test_rejects_invalid_values(self, bad):
         with pytest.raises(ConfigError):
             validate_config(bad)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_rejects_non_finite_budget_in_file(self, tmp_path, literal):
+        # json.load accepts these literals, so they reach validate_config
+        path = tmp_path / "config.json"
+        path.write_text('{"cell_budget_seconds": %s}' % literal)
+        with pytest.raises(ConfigError):
+            load_config(str(path))
 
 
 class TestGridScan:
@@ -229,6 +261,15 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["ass", "--n", "5"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["ass", "persistence"])
+    @pytest.mark.parametrize("budget", ["nan", "inf", "0", "-1", "soon"])
+    def test_bad_budget_is_a_usage_error(self, command, budget, capsys):
+        size = "--k" if command == "ass" else "--kmax"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--n", "5", "--t", "2", size, "2", "--budget", budget])
+        assert exc.value.code == 2
+        assert "budget must be a finite number" in capsys.readouterr().err
 
     def test_invalid_params_exit_two(self, capsys):
         assert main(["gen", "--n", "0", "--t", "2"]) == 2
