@@ -76,13 +76,7 @@ class TestSplitting:
             assert intersect_components(comps, I.nvars) == I
 
     def test_removing_any_component_enlarges_intersection(self):
-        inputs = (
-            ind_ideal(4, 2),
-            ind_ideal(5, 2).power(2),
-            ind_ideal(4, 2).power(3),
-            ind_ideal(6, 3).power(2),
-        )
-        for I in inputs:
+        for I in (ind_ideal(5, 2).power(2), ind_ideal(4, 2).power(3)):
             comps = irreducible_decomposition(I)
             for i in range(len(comps)):
                 rest = comps[:i] + comps[i + 1 :]
@@ -112,6 +106,31 @@ class TestSplitting:
         I = ind_ideal(5, 2).power(2)
         unbounded = irreducible_decomposition(I, cache=DecompositionCache())
         assert irreducible_decomposition(I, cache=DecompositionCache(maxsize=2)) == unbounded
+
+
+def assert_irredundant(comps, I):
+    # no component contains another, and each one is needed for the intersection
+    ideals = [c.as_ideal() for c in comps]
+    for i, a in enumerate(ideals):
+        for j, b in enumerate(ideals):
+            assert i == j or not a.is_subset(b)
+    assert intersect_components(comps, I.nvars) == I
+    for i in range(len(comps)):
+        rest = comps[:i] + comps[i + 1 :]
+        assert intersect_components(rest, I.nvars) != I
+
+
+class TestIrredundantFilter:
+    # the engine's merge keeps its output irredundant, so no filter pass is needed
+    def test_already_irredundant_unchanged(self):
+        I = ind_ideal(4, 2)
+        comps = irreducible_decomposition(I)
+        assert_irredundant(comps, I)
+        assert irreducible_decomposition(I) == comps
+
+    def test_noop_on_engine_output(self):
+        for I in (ind_ideal(5, 2).power(2), ind_ideal(6, 3).power(2)):
+            assert_irredundant(irreducible_decomposition(I), I)
 
 
 class TestPrune:
