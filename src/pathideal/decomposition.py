@@ -1,42 +1,52 @@
 """Irreducible decomposition of monomial ideals by recursive splitting.
 
 The public functions take and return MonomialIdeal, Monomial and
-IrreducibleComponent objects.  The recursion between them runs on raw
-exponent tuples: the ideal's generators are read once at the start, and the
+IrreducibleComponent objects.  The recursion between them runs on packed
+integers: the ideal's generators are read once at the start, and the
 components are built once at the end.
 
-A node of the splitting tree is the tuple of its minimal generators'
-exponent tuples in canonical order (degree, then canonical text).  The
-splitting rule is deterministic: take the first generator g whose support has
-at least two variables, peel off its smallest variable x_i^a, and recurse on
-node + <x_i^a> and node + <g / x_i^a>, whose intersection is the node.  A node
-whose generators are all pure powers is irreducible.  Results are memoized
-per node in a bounded LRU cache keyed on the node tuple, and associated primes
-are read off as the radicals (support sets) of the surviving components.
+Packed layout: an exponent vector is one integer in which variable x_{j+1}
+owns the field of _W bits starting at bit j * _W.  The top bit of each field
+is a guard bit, clear in every packed value; the width comes from
+EXPONENT_CAP, so it is the same in every call.  With G the guard bits of all
+fields, a <= b componentwise iff ((b | G) - a) & G == G: no field borrows
+from its neighbour, and a field keeps its guard exactly when b's entry is at
+least a's.  And a <= b componentwise implies a <= b as integers.
 
-Inside the recursion a component is a dense exponent vector in which an
-unused variable reads as infinity, so component c contains component d iff
-c <= d componentwise.  Merging a node's two children drops every component
-that contains another, and keeps an exact duplicate once.  This prune is
-complete: a pure-power component Q contains an intersection of others only if
-it contains one of them (the lcm of per-component witnesses outside Q stays
-outside Q), so what survives is irredundant.  Each child's result is already
-irredundant, so no component contains another from its own side and only
-pairs across the two sides are compared.  Among those, c can contain d only
-if d's support is a subset of c's, so components are grouped by support mask
-and only nested groups are compared.
+A node of the splitting tree is nvars followed by its minimal generators,
+packed, in canonical order (degree, then canonical text).  The splitting rule
+is deterministic: take the first generator g whose support has at least two
+variables, peel off its smallest variable x_i^a, and recurse on
+node + <x_i^a> and node + <g / x_i^a>, whose intersection is the node.  A
+node whose generators are all pure powers is irreducible.  Results are
+memoized per node in a bounded LRU cache keyed on the node tuple, whose
+leading nvars keeps ideals on different variable counts apart, and
+associated primes are read off as the radicals (support sets) of the
+surviving components.
+
+Inside the recursion a component is a (support mask, packed vector) pair in
+which an unused variable holds _ABSENT, above every real exponent, so
+component c contains component d iff c <= d componentwise.  Merging a node's
+two children drops every component that contains another, and keeps an
+exact duplicate once.  This prune is complete: a pure-power component Q
+contains an intersection of others only if it contains one of them (the lcm
+of per-component witnesses outside Q stays outside Q), so what survives is
+irredundant.  Each child's result is already irredundant, so no component
+contains another from its own side and only pairs across the two sides are
+compared.  Among those, c can contain d only if d's support is a subset of
+c's, so components are grouped by support mask and only nested groups are
+compared; within them, the rivals of c are sorted and scanned from c up.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from bisect import insort
+from bisect import bisect_left, insort
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
-from operator import le
 from typing import Mapping, Optional, Sequence
 
 from .ideal import MonomialIdeal
@@ -44,10 +54,11 @@ from .monomial import EXPONENT_CAP, Monomial, exponent_text
 
 DEFAULT_CACHE_SIZE = 1 << 16
 
-# Kernel data (see the module docstring): a node is the exponent tuples of
-# its minimal generators in canonical order; a component is a dense vector.
-_Node = tuple[tuple[int, ...], ...]
-_Components = tuple[tuple[int, ...], ...]
+# Kernel data (see the module docstring): a node is nvars followed by its
+# packed minimal generators in canonical order; a component is a
+# (support mask, packed vector) pair.
+_Node = tuple[int, ...]
+_Components = tuple[tuple[int, int], ...]
 
 WITNESS_IN_POWER = "u in I^k"
 WITNESS_COLON_TOO_BIG = "colon too big"
@@ -181,6 +192,39 @@ _default_cache = DecompositionCache()
 # never exceed EXPONENT_CAP, so it compares above every real exponent.
 _ABSENT = EXPONENT_CAP + 1
 
+# Packed layout (see the module docstring): variable j owns the _W bits from
+# j * _W up, the top one of them a guard bit that a packed value keeps clear.
+# The width depends on EXPONENT_CAP only, so a value means the same thing in
+# every call that shares a cache.
+_W = _ABSENT.bit_length() + 1
+_FIELD = (1 << (_W - 1)) - 1
+
+
+def _pack(exponents: Sequence[int]) -> int:
+    return sum(e << (j * _W) for j, e in enumerate(exponents))
+
+
+def _unpack(value: int, nvars: int) -> tuple[int, ...]:
+    return tuple((value >> (j * _W)) & _FIELD for j in range(nvars))
+
+
+def _guards(nvars: int) -> int:
+    """The guard bits of the first nvars fields."""
+    return _pack((_FIELD + 1,) * nvars)
+
+
+class _SortKeys(dict):
+    """Packed generator -> Monomial.sort_key, filled on demand."""
+
+    def __init__(self, nvars: int):
+        super().__init__()
+        self.nvars = nvars
+
+    def __missing__(self, m: int) -> tuple:
+        exponents = _unpack(m, self.nvars)
+        key = self[m] = (sum(exponents), exponent_text(exponents))
+        return key
+
 
 def intersect_components(
     components: Sequence[IrreducibleComponent], nvars: int
@@ -193,7 +237,7 @@ def intersect_components(
     return reduce(lambda a, b: a.intersect(b), ideals)
 
 
-def _split(node: _Node, order: dict) -> Optional[tuple[_Node, _Node]]:
+def _split(node: _Node, guards: int, order: _SortKeys) -> Optional[tuple[_Node, _Node]]:
     """The two children of a node, or None when every generator is a pure power.
 
     The pivot g is the first generator in canonical order with at least two
@@ -203,59 +247,89 @@ def _split(node: _Node, order: dict) -> Optional[tuple[_Node, _Node]]:
     against minimality.  So a child is the node without the generators the
     new one divides, plus the new one at its canonical place.
     """
-    for g in node:
-        if len(g) - g.count(0) >= 2:
+    gens = node[1:]
+    for g in gens:
+        low = (g & -g).bit_length() - 1
+        field = _FIELD << (low - low % _W)
+        power = g & field
+        rest = g - power
+        if rest:
             break
     else:
         return None
-    i = next(j for j, e in enumerate(g) if e)
-    a = g[i]
-    power = (0,) * i + (a,) + (0,) * (len(g) - i - 1)
-    rest = g[:i] + (0,) + g[i + 1 :]
+    nvars = node[0]
     return (
-        _insert_generator([h for h in node if h[i] < a], power, order),
-        _insert_generator([h for h in node if not all(map(le, rest, h))], rest, order),
+        _insert_generator(nvars, [h for h in gens if h & field < power], power, order),
+        _insert_generator(
+            nvars, [h for h in gens if ((h | guards) - rest) & guards != guards], rest, order
+        ),
     )
 
 
-def _insert_generator(kept: list, m: tuple[int, ...], order: dict) -> _Node:
-    """The node kept + [m] in canonical order.
-
-    `order` maps exponent tuples to Monomial.sort_key values, filled on demand.
-    """
-    if m not in order:
-        order[m] = (sum(m), exponent_text(m))
+def _insert_generator(nvars: int, kept: list, m: int, order: _SortKeys) -> _Node:
+    """The node of kept + [m] in canonical order."""
     insort(kept, m, key=order.__getitem__)
-    return tuple(kept)
+    return (nvars, *kept)
 
 
-def _support_groups(components) -> dict[int, list]:
-    """Components grouped by support, as a bit mask over variable positions."""
-    groups: dict[int, list] = {}
-    for c in components:
-        mask = sum(1 << j for j, e in enumerate(c) if e != _ABSENT)
-        groups.setdefault(mask, []).append(c)
-    return groups
+def _leaf(node: _Node) -> _Components:
+    """The component of a node whose generators are all pure powers."""
+    nvars = node[0]
+    mask = 0
+    vector = _pack((_ABSENT,) * nvars)
+    for g in node[1:]:
+        j = (g.bit_length() - 1) // _W
+        mask |= 1 << j
+        vector += g - (_ABSENT << (j * _W))
+    return ((mask, vector),)
 
 
-def _prune(left: _Components, right: _Components) -> _Components:
+def _groups(components) -> tuple[dict[int, list], dict[int, list]]:
+    """The components, and their packed vectors alone, grouped by support mask."""
+    pairs: dict[int, list] = {}
+    vectors: dict[int, list] = {}
+    for pair in components:
+        mask = pair[0]
+        if mask in pairs:
+            pairs[mask].append(pair)
+            vectors[mask].append(pair[1])
+        else:
+            pairs[mask] = [pair]
+            vectors[mask] = [pair[1]]
+    return pairs, vectors
+
+
+def _prune(left: _Components, right: _Components, guards: int) -> _Components:
     """The irredundant union of two irredundant decompositions.
 
     Each side is an antichain under containment, so only cross pairs can be
     redundant, and a component that contains another is dropped.  An exact
     duplicate is kept once.  A component contains another only if the
     other's support is a subset of its own, so only such support groups are
-    compared.
+    compared; and c contains d only if c <= d as integers, so the scan over
+    the sorted rivals starts at c.  The kept pairs are the input objects.
     """
     seen = set(left)
-    right = [d for d in right if d not in seen]
-    left_groups = _support_groups(left)
-    right_groups = _support_groups(right)
-    kept = []
-    for ours, theirs in ((left_groups, right_groups), (right_groups, left_groups)):
-        for mask, comps in ours.items():
-            rivals = [d for m, ds in theirs.items() if m & mask == m for d in ds]
-            kept.extend(c for c in comps if not any(all(map(le, c, d)) for d in rivals))
+    left_pairs, left_vectors = _groups(left)
+    right_pairs, right_vectors = _groups(d for d in right if d not in seen)
+    kept: list = []
+    for ours, theirs in ((left_pairs, right_vectors), (right_pairs, left_vectors)):
+        for mask, pairs in ours.items():
+            rivals: list = []
+            for m, ds in theirs.items():
+                if m & mask == m:
+                    rivals += ds
+            if not rivals:
+                kept += pairs
+                continue
+            rivals.sort()
+            for pair in pairs:
+                c = pair[1]
+                for d in rivals[bisect_left(rivals, c) :]:
+                    if ((d | guards) - c) & guards == guards:
+                        break
+                else:
+                    kept.append(pair)
     return tuple(kept)
 
 
@@ -275,15 +349,21 @@ def irreducible_decomposition(
         raise ValueError("the zero ideal has no irreducible decomposition")
     if cache is None:
         cache = _default_cache
-    # canonical sort keys of the generators seen in this call
-    order = {g.exponents: g.sort_key for g in ideal.gens}
+    nvars = ideal.nvars
+    guards = _guards(nvars)
+    order = _SortKeys(nvars)
+    root = [nvars]
+    for g in ideal.gens:
+        m = _pack(g.exponents)
+        order[m] = g.sort_key
+        root.append(m)
 
     # Iterative post-order over the splitting tree.  Each frame pins its
     # children's results so LRU eviction can never force recomputation of a
     # value an in-flight parent still needs.
     # frame = [node, children (None until expanded), collected child results]
     root_result: Optional[_Components] = None
-    stack: list[list] = [[tuple(g.exponents for g in ideal.gens), None, []]]
+    stack: list[list] = [[tuple(root), None, []]]
     while stack:
         if deadline is not None and time.monotonic() > deadline:
             raise DeadlineExceeded("decomposition exceeded its time budget")
@@ -292,18 +372,17 @@ def irreducible_decomposition(
         if children is None:
             value = cache.get(node)
             if value is None:
-                children = _split(node, order)
+                children = _split(node, guards, order)
                 if children is not None:
                     frame[1] = children
                     continue
-                # every generator is a pure variable power: irreducible already
-                value = (tuple(max(column) or _ABSENT for column in zip(*node)),)
+                value = _leaf(node)
                 cache.put(node, value)
         elif len(results) < len(children):
             stack.append([children[len(results)], None, []])
             continue
         else:
-            value = _prune(*results)
+            value = _prune(*results, guards)
             cache.put(node, value)
         stack.pop()
         if stack:
@@ -314,9 +393,9 @@ def irreducible_decomposition(
     assert root_result is not None
     components = (
         IrreducibleComponent(
-            ideal.nvars, tuple((j, e) for j, e in enumerate(c, start=1) if e != _ABSENT)
+            nvars, tuple((j, e) for j, e in enumerate(_unpack(v, nvars), start=1) if e != _ABSENT)
         )
-        for c in root_result
+        for _, v in root_result
     )
     return tuple(sorted(components, key=lambda c: c.sort_key))
 

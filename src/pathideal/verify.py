@@ -148,6 +148,8 @@ def verify_cell(
     """
     if method not in (METHOD_DECOMPOSITION, METHOD_WITNESS):
         raise ValueError(f"unknown method {method!r}")
+    if not _is_budget(budget_seconds):
+        raise ValueError("budget_seconds must be a finite number above zero")
     case = classify(n, t)
     if case is PathCase.ZERO:
         return _zero_report(n, t, k, method)
@@ -231,6 +233,8 @@ def persistence_scan(
     """
     if kmax < 2:
         raise ValueError("kmax must be at least 2")
+    if not _is_budget(budget_seconds):
+        raise ValueError("budget_seconds must be a finite number above zero")
     case = classify(n, t)
     if case is PathCase.ZERO:
         return [_zero_report(n, t, k, METHOD_DECOMPOSITION) for k in range(1, kmax + 1)]

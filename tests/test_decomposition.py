@@ -1,8 +1,11 @@
 """Splitting decomposition, irredundancy, associated primes, and witnesses."""
 
+import time
 from random import Random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pathideal import (
     DecompositionCache,
@@ -21,9 +24,15 @@ from pathideal.decomposition import (
     WITNESS_COLON_TOO_BIG,
     WITNESS_COLON_TOO_SMALL,
     WITNESS_IN_POWER,
+    DeadlineExceeded,
     _ABSENT,
+    _SortKeys,
+    _guards,
+    _pack,
     _prune,
+    _split,
 )
+from pathideal.monomial import EXPONENT_CAP
 
 from helpers import brute_witness_primes, random_ideal, random_squarefree_ideal
 
@@ -34,6 +43,15 @@ def comp(nvars, **powers):
 
 def primes_of(decomp):
     return sorted({c.radical_prime().vars for c in decomp})
+
+
+def packed(*vector):
+    # a kernel component: (support mask, packed vector); _ABSENT marks an unused variable
+    return (sum(1 << j for j, e in enumerate(vector) if e != _ABSENT), _pack(vector))
+
+
+def leq(a, b):
+    return all(x <= y for x, y in zip(a, b))
 
 
 class TestSplitting:
@@ -102,6 +120,24 @@ class TestSplitting:
             comps = irreducible_decomposition(ind_ideal(n, t).power(k), cache=cache)
             assert (cache.misses, cache.hits, len(comps)) == (misses, hits, count)
 
+    def test_shared_cache_keeps_variable_counts_apart(self):
+        # the packed generators of a 7-variable ideal and its copy in 8 variables agree
+        seven = ind_ideal(7, 2).power(2)
+        embedded = MonomialIdeal(8, [Monomial(g.exponents + (0,)) for g in seven.gens])
+        ideals = [seven, ind_ideal(8, 2).power(2), embedded]
+        fresh = [irreducible_decomposition(I, cache=DecompositionCache()) for I in ideals]
+        shared = DecompositionCache()
+        for i in (0, 1, 2, 2, 1, 0):
+            assert irreducible_decomposition(ideals[i], cache=shared) == fresh[i]
+
+    def test_deadline_overshoot_is_bounded(self):
+        # long uninterruptible merges would show as a late DeadlineExceeded
+        power = ind_ideal(8, 3).power(4)
+        deadline = time.monotonic() + 0.2
+        with pytest.raises(DeadlineExceeded):
+            irreducible_decomposition(power, cache=DecompositionCache(), deadline=deadline)
+        assert time.monotonic() - deadline <= 2.0
+
     def test_cache_eviction_keeps_results_correct(self):
         I = ind_ideal(5, 2).power(2)
         unbounded = irreducible_decomposition(I, cache=DecompositionCache())
@@ -134,22 +170,59 @@ class TestIrredundantFilter:
 
 
 class TestPrune:
-    # components as dense exponent vectors; _ABSENT marks an unused variable
+    # components in the kernel form, (support mask, packed vector)
     def test_containment_prune(self):
         # <x1, x2> contains <x1>, from either side
-        x1, x1_x2 = (1, _ABSENT), (1, 1)
-        assert _prune((x1,), (x1_x2,)) == (x1,)
-        assert _prune((x1_x2,), (x1,)) == (x1,)
+        x1, x1_x2 = packed(1, _ABSENT), packed(1, 1)
+        assert _prune((x1,), (x1_x2,), _guards(2)) == (x1,)
+        assert _prune((x1_x2,), (x1,), _guards(2)) == (x1,)
 
     def test_duplicate_kept_once(self):
-        x1, x2, squares = (1, _ABSENT), (_ABSENT, 1), (2, 2)
-        pruned = _prune((x1, x2), (x1, squares))
+        x1, x2, squares = packed(1, _ABSENT), packed(_ABSENT, 1), packed(2, 2)
+        pruned = _prune((x1, x2), (x1, squares), _guards(2))
         assert sorted(pruned) == sorted([x1, x2, squares])
 
     def test_incomparable_supports_kept(self):
-        left = ((1, _ABSENT, 2), (_ABSENT, 3, _ABSENT))
-        right = ((_ABSENT, _ABSENT, 1), (2, 4, _ABSENT))
-        assert sorted(_prune(left, right)) == sorted(left + right)
+        left = (packed(1, _ABSENT, 2), packed(_ABSENT, 3, _ABSENT))
+        right = (packed(_ABSENT, _ABSENT, 1), packed(2, 4, _ABSENT))
+        assert sorted(_prune(left, right, _guards(3))) == sorted(left + right)
+
+
+# every field value the kernel stores: a zero exponent, small ones, the cap, absent
+FIELDS = st.one_of(st.just(0), st.integers(1, 4), st.just(EXPONENT_CAP), st.just(_ABSENT))
+EXPONENTS = st.one_of(st.just(0), st.integers(1, 4), st.just(EXPONENT_CAP))
+
+
+def vectors(draw, fields, nvars):
+    return tuple(draw(st.lists(fields, min_size=nvars, max_size=nvars)))
+
+
+class TestGuardBits:
+    # the packed tests inside _prune and _split against componentwise <=
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_containment_matches_componentwise(self, data):
+        nvars = data.draw(st.integers(1, 12))
+        c, d = vectors(data.draw, FIELDS, nvars), vectors(data.draw, FIELDS, nvars)
+        kept = _prune((packed(*c),), (packed(*d),), _guards(nvars))
+        # a component c contains d iff c <= d; the container is dropped
+        expected = [c] if c == d else [v for v, w in ((c, d), (d, c)) if not leq(v, w)]
+        assert sorted(kept) == sorted(packed(*v) for v in expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_divisibility_matches_componentwise(self, data):
+        nvars = data.draw(st.integers(2, 12))
+        g, h = vectors(data.draw, EXPONENTS, nvars), vectors(data.draw, EXPONENTS, nvars)
+        assume(sum(1 for e in g if e) >= 2 and any(h))
+        left, right = _split((nvars, _pack(g), _pack(h)), _guards(nvars), _SortKeys(nvars))
+        # g is the pivot: split at its first variable x_i^a into power * rest
+        i = next(j for j, e in enumerate(g) if e)
+        power = tuple(e if j == i else 0 for j, e in enumerate(g))
+        rest = tuple(0 if j == i else e for j, e in enumerate(g))
+        assert left[0] == right[0] == nvars
+        assert sorted(left[1:]) == sorted(map(_pack, [power] + [h] * (not leq(power, h))))
+        assert sorted(right[1:]) == sorted(map(_pack, [rest] + [h] * (not leq(rest, h))))
 
 
 class TestAssociatedPrimes:

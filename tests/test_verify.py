@@ -1,6 +1,7 @@
 """Cell verification, persistence scans, stability scans, grid scans, and the CLI."""
 
 import json
+import time
 
 import pytest
 
@@ -23,6 +24,9 @@ from pathideal.verify import (
     load_config,
     validate_config,
 )
+
+# a NaN deadline never fires, and a boolean is not a number of seconds
+BAD_BUDGETS = [float("nan"), float("inf"), float("-inf"), 0, 0.0, -1.0, True, False]
 
 
 class TestVerifyCell:
@@ -55,6 +59,17 @@ class TestVerifyCell:
         report = verify_cell(8, 2, 3, budget_seconds=1e-9)
         assert report.verdict == VERDICT_SKIPPED
 
+    def test_budget_overshoot_is_bounded(self):
+        start = time.monotonic()
+        report = verify_cell(8, 3, 4, budget_seconds=0.2, cache=DecompositionCache())
+        assert report.verdict == VERDICT_SKIPPED
+        assert time.monotonic() - (start + 0.2) <= 2.0
+
+    @pytest.mark.parametrize("budget", BAD_BUDGETS)
+    def test_bad_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget_seconds"):
+            verify_cell(5, 2, 2, budget_seconds=budget)
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             verify_cell(4, 2, 1, "guesswork")
@@ -78,6 +93,13 @@ class TestPersistenceScan:
     def test_kmax_validation(self):
         with pytest.raises(ValueError):
             persistence_scan(5, 2, 1)
+
+    @pytest.mark.parametrize("budget", BAD_BUDGETS)
+    def test_bad_budget_rejected(self, budget):
+        # the zero case (2, 2) returns without decomposing, and still checks
+        for n in (5, 2):
+            with pytest.raises(ValueError, match="budget_seconds"):
+                persistence_scan(n, 2, 3, budget_seconds=budget)
 
     def test_reuses_each_cell_decomposition(self):
         scan_cache = DecompositionCache()
