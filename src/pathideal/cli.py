@@ -25,7 +25,6 @@ from .verify import (
     empirical_astab,
     grid_scan,
     load_config,
-    path_power,
     persistence_scan,
     verify_cell,
 )
@@ -107,7 +106,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
             args.format,
         )
         return 0
-    power = path_power(args.n, args.t, args.k)
+    power = ind_ideal(args.n, args.t).power(args.k)
     components = irreducible_decomposition(power)
     payload = {
         "n": args.n,

@@ -49,7 +49,7 @@ from functools import reduce
 from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
-from .ideal import MonomialIdeal
+from .ideal import DeadlineExceeded, MonomialIdeal  # re-exported for existing importers
 from .monomial import EXPONENT_CAP, Monomial, exponent_text
 
 DEFAULT_CACHE_SIZE = 1 << 16
@@ -63,10 +63,6 @@ _Components = tuple[tuple[int, int], ...]
 WITNESS_IN_POWER = "u in I^k"
 WITNESS_COLON_TOO_BIG = "colon too big"
 WITNESS_COLON_TOO_SMALL = "colon too small"
-
-
-class DeadlineExceeded(RuntimeError):
-    """A decomposition ran past its wall-clock deadline."""
 
 
 @dataclass(frozen=True)

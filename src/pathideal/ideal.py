@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+import time
+from typing import Iterable, Iterator, Optional
 
 from .monomial import DimensionMismatch, Monomial
+
+
+class DeadlineExceeded(RuntimeError):
+    """A computation ran past its wall-clock deadline."""
 
 
 class ImproperIdeal(ValueError):
@@ -164,8 +169,12 @@ class MonomialIdeal:
 
     __mul__ = product
 
-    def power(self, k: int) -> MonomialIdeal:
-        """k-th power by iterated product, minimizing after every step."""
+    def power(self, k: int, *, deadline: Optional[float] = None) -> MonomialIdeal:
+        """k-th power by iterated product, minimizing after every step.
+
+        `deadline` is a `time.monotonic()` instant, checked once per row of
+        the product loop; past it the build raises DeadlineExceeded.
+        """
         if k < 1:
             raise ValueError("power exponent must be >= 1 (the unit ideal is not modeled)")
         if self.is_zero or k == 1:
@@ -173,7 +182,11 @@ class MonomialIdeal:
         base = [g.exponents for g in self.gens]
         cur = base
         for _ in range(k - 1):
-            prods = {tuple(a + b for a, b in zip(u, v)) for u in cur for v in base}
+            prods = set()
+            for u in cur:
+                if deadline is not None and time.monotonic() > deadline:
+                    raise DeadlineExceeded("building the power exceeded its time budget")
+                prods.update([tuple(a + b for a, b in zip(u, v)) for v in base])
             cur = _minimize_raw(prods)
         return MonomialIdeal._from_minimal(self.nvars, (Monomial(t) for t in cur))
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import NamedTuple, Optional
@@ -94,7 +93,6 @@ def independent_sets(n: int, t: int, *, max_n: int = MAX_PATH_VERTICES) -> list[
     ]
 
 
-@lru_cache(maxsize=None)
 def ind_ideal(n: int, t: int) -> MonomialIdeal:
     """The size-t independence ideal of the path on n vertices (zero if none exist)."""
     sets = independent_sets(n, t)

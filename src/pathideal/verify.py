@@ -12,9 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import __version__
@@ -26,7 +24,6 @@ from .decomposition import (
     associated_primes,
     verify_witness,
 )
-from .ideal import MonomialIdeal
 from .pathfamily import PathCase, classify, ind_ideal
 
 METHOD_DECOMPOSITION = "decomposition"
@@ -57,12 +54,6 @@ def _is_budget(value) -> bool:
         and math.isfinite(value)
         and value > 0
     )
-
-
-@lru_cache(maxsize=256)
-def path_power(n: int, t: int, k: int) -> MonomialIdeal:
-    """Cached k-th power of the (n, t) independence ideal."""
-    return ind_ideal(n, t).power(k)
 
 
 @dataclass(frozen=True)
@@ -143,9 +134,11 @@ def verify_cell(
 
     The decomposition method is two-sided (exact set equality); witness-only
     confirms predicted primes individually and cannot detect extra ones.
-    Exceeding the wall-clock budget yields a SKIPPED verdict, never a silent
-    pass.
+    Exceeding the wall-clock budget, building the power included, yields a
+    SKIPPED verdict, never a silent pass.
     """
+    if not all(_is_count(v) for v in (n, t, k)):
+        raise ValueError("n, t and k must be positive integers")
     if method not in (METHOD_DECOMPOSITION, METHOD_WITNESS):
         raise ValueError(f"unknown method {method!r}")
     if not _is_budget(budget_seconds):
@@ -158,8 +151,9 @@ def verify_cell(
     deadline = start + budget_seconds
     predicted = predicted_ass(n, t, k)
     try:
+        ideal = ind_ideal(n, t)
+        power = ideal.power(k, deadline=deadline)
         if method == METHOD_DECOMPOSITION:
-            power = path_power(n, t, k)
             computed = associated_primes(power, cache=cache, deadline=deadline)
             predicted_set = set(predicted)
             computed_set = set(computed)
@@ -179,8 +173,6 @@ def verify_cell(
                 extra=extra,
                 wall_time_ms=(time.monotonic() - start) * 1000.0,
             )
-        ideal = ind_ideal(n, t)
-        power = path_power(n, t, k)
         outcomes = []
         for prime in predicted:
             if time.monotonic() > deadline:
@@ -231,6 +223,8 @@ def persistence_scan(
     contains the computed set at k-1 (vacuously true at k = 1).  The computed
     set is read back from the report, as predicted - missing + extra.
     """
+    if not all(_is_count(v) for v in (n, t, kmax)):
+        raise ValueError("n, t and kmax must be positive integers")
     if kmax < 2:
         raise ValueError("kmax must be at least 2")
     if not _is_budget(budget_seconds):
@@ -284,12 +278,13 @@ def empirical_astab(
     cache: Optional[DecompositionCache] = None,
 ) -> AstabResult:
     """Smallest k0 with Ass stable from k0 through kmax, compared to the prediction."""
-    if kmax < 1:
-        raise ValueError("kmax must be at least 1")
+    if not all(_is_count(v) for v in (n, t, kmax)):
+        raise ValueError("n, t and kmax must be positive integers")
     predicted = predicted_astab(n, t)
+    ideal = ind_ideal(n, t)
     chains: list[set[VarPrime]] = []
     for k in range(1, kmax + 1):
-        chains.append(set(associated_primes(path_power(n, t, k), cache=cache)))
+        chains.append(set(associated_primes(ideal.power(k), cache=cache)))
     k0 = kmax
     for k in range(kmax - 1, 0, -1):
         if chains[k - 1] == chains[kmax - 1]:
@@ -358,7 +353,7 @@ def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -376,8 +371,8 @@ class ScanResult:
 
 def _render_structured(config: dict, reports: Sequence[VerificationReport]) -> str:
     include_timings = config["include_timings"]
-    # parallelism is an execution knob, not part of what was verified; leaving
-    # it out keeps serial and parallel reports byte-identical
+    # parallelism is accepted for existing configs but selects nothing; leaving
+    # it out keeps reports byte-identical whatever value a config sends
     echo = {key: value for key, value in config.items() if key != "parallelism"}
     doc = {
         "header": {"tool": "pathideal", "version": __version__, "config": echo},
@@ -440,20 +435,14 @@ def _render_table(config: dict, reports: Sequence[VerificationReport]) -> str:
 def grid_scan(config: dict, *, cache: Optional[DecompositionCache] = None) -> ScanResult:
     """Run verify_cell over the configured grid and render both report forms.
 
-    Cells run independently (optionally in threads); the output is sorted by
-    (t, n, k), so serial and parallel runs render byte-identical reports.
+    Cells run one after another on the calling thread, in (t, n, k) order.
+    The `parallelism` key is validated but selects nothing: the cells are
+    pure Python under one interpreter lock, so a thread pool only slowed
+    the scan down.
     """
     config = validate_config(config)
-    cells = [
-        (t, n, k)
-        for t in config["t_values"]
-        for n in range(config["n_range"][0], config["n_range"][1] + 1)
-        for k in range(config["k_range"][0], config["k_range"][1] + 1)
-    ]
-
-    def run(cell: tuple[int, int, int]) -> VerificationReport:
-        t, n, k = cell
-        return verify_cell(
+    reports = [
+        verify_cell(
             n,
             t,
             k,
@@ -461,13 +450,10 @@ def grid_scan(config: dict, *, cache: Optional[DecompositionCache] = None) -> Sc
             budget_seconds=config["cell_budget_seconds"],
             cache=cache,
         )
-
-    if config["parallelism"] == 1:
-        reports = [run(c) for c in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=config["parallelism"]) as pool:
-            reports = list(pool.map(run, cells))
-    reports.sort(key=lambda r: (r.t, r.n, r.k))
+        for t in config["t_values"]
+        for n in range(config["n_range"][0], config["n_range"][1] + 1)
+        for k in range(config["k_range"][0], config["k_range"][1] + 1)
+    ]
     exit_code = 1 if any(r.verdict == VERDICT_FAIL for r in reports) else 0
     return ScanResult(
         config=config,

@@ -1,11 +1,13 @@
 """Ideal algebra: minimization, membership, sums/products/powers, colon, radical."""
 
+import time
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathideal import ImproperIdeal, Monomial, MonomialIdeal, ind_ideal
+from pathideal.decomposition import DeadlineExceeded
 
 from helpers import (
     exponent_box,
@@ -91,6 +93,12 @@ class TestSumProductPower:
     def test_power_zero_rejected(self):
         with pytest.raises(ValueError):
             ind_ideal(4, 2).power(0)
+
+    def test_power_deadline(self):
+        I = ind_ideal(8, 3)
+        with pytest.raises(DeadlineExceeded):
+            I.power(4, deadline=time.monotonic() - 1.0)
+        assert I.power(4, deadline=time.monotonic() + 60.0) == I.power(4)
 
     def test_power_chain_descends(self):
         I = ind_ideal(5, 2)

@@ -1,6 +1,8 @@
 """Cell verification, persistence scans, stability scans, grid scans, and the CLI."""
 
 import json
+import re
+import threading
 import time
 
 import pytest
@@ -11,6 +13,7 @@ from pathideal import (
     empirical_astab,
     grid_scan,
     persistence_scan,
+    verify,
     verify_cell,
 )
 from pathideal.cli import main
@@ -27,6 +30,21 @@ from pathideal.verify import (
 
 # a NaN deadline never fires, and a boolean is not a number of seconds
 BAD_BUDGETS = [float("nan"), float("inf"), float("-inf"), 0, 0.0, -1.0, True, False]
+
+
+@pytest.mark.parametrize("bad", [True, False, 0, 2.0])
+@pytest.mark.parametrize("position", [0, 1, 2], ids=["n", "t", "k"])
+@pytest.mark.parametrize(
+    "function, args",
+    [(verify_cell, (5, 2, 2)), (persistence_scan, (5, 2, 3)), (empirical_astab, (5, 2, 3))],
+    ids=["verify_cell", "persistence_scan", "empirical_astab"],
+)
+def test_non_count_parameters_rejected(function, args, position, bad):
+    # a boolean is an int to Python, and would otherwise be echoed as "k": true
+    args = list(args)
+    args[position] = bad
+    with pytest.raises(ValueError, match="must be positive integers"):
+        function(*args)
 
 
 class TestVerifyCell:
@@ -64,6 +82,13 @@ class TestVerifyCell:
         report = verify_cell(8, 3, 4, budget_seconds=0.2, cache=DecompositionCache())
         assert report.verdict == VERDICT_SKIPPED
         assert time.monotonic() - (start + 0.2) <= 2.0
+
+    def test_budget_covers_building_the_power(self):
+        # building I(13,4)^3 alone takes several seconds
+        start = time.monotonic()
+        report = verify_cell(13, 4, 3, budget_seconds=0.5, cache=DecompositionCache())
+        assert report.verdict == VERDICT_SKIPPED
+        assert time.monotonic() - (start + 0.5) <= 2.0
 
     @pytest.mark.parametrize("budget", BAD_BUDGETS)
     def test_bad_budget_rejected(self, budget):
@@ -171,6 +196,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(str(path))
 
+    def test_undecodable_file_is_a_config_error(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"method": "\xff"}')
+        with pytest.raises(ConfigError, match=re.escape(f"cannot read config {path}")):
+            load_config(str(path))
+
 
 class TestGridScan:
     def test_small_grid_passes(self):
@@ -202,6 +233,21 @@ class TestGridScan:
         parallel = grid_scan({**base, "parallelism": 4})
         assert serial.structured == parallel.structured
         assert serial.table == parallel.table
+
+    def test_cells_run_on_calling_thread(self, monkeypatch):
+        threads = []
+        original = verify.verify_cell
+
+        def recording(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "verify_cell", recording)
+        result = grid_scan(
+            {"t_values": [2, 3], "n_range": [3, 6], "k_range": [1, 2], "parallelism": 4}
+        )
+        assert len(threads) == len(result.reports) == 16
+        assert set(threads) == {threading.get_ident()}
 
     def test_timings_off_by_default(self):
         result = grid_scan({"t_values": [2], "n_range": [3, 4], "k_range": [1, 1]})
@@ -268,6 +314,14 @@ class TestCli:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"method": "divination"}))
         assert main(["scan", "--config", str(config), "--out", str(tmp_path / "r.json")]) == 2
+
+    def test_scan_undecodable_config_exits_two(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b"\xff\xfe{}")
+        assert main(["scan", "--config", str(config), "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {config}: ")
+        assert not (tmp_path / "r.json").exists()
 
     def test_scan_unwritable_output_exits_two(self, tmp_path, capsys):
         config = tmp_path / "config.json"
