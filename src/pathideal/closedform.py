@@ -10,7 +10,6 @@ module never computes a decomposition itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .decomposition import IrreducibleComponent, VarPrime
 from .monomial import Monomial
@@ -101,7 +100,6 @@ def enumerate_parity_primes(n: int, t: int, level: int) -> tuple[ParityPrime, ..
     )
 
 
-@lru_cache(maxsize=None)
 def predicted_ass(n: int, t: int, k: int) -> tuple[VarPrime, ...]:
     """The predicted set of associated primes of the k-th power, canonically ordered.
 

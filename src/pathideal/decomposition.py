@@ -20,9 +20,9 @@ variables, peel off its smallest variable x_i^a, and recurse on
 node + <x_i^a> and node + <g / x_i^a>, whose intersection is the node.  A
 node whose generators are all pure powers is irreducible.  Results are
 memoized per node in a bounded LRU cache keyed on the node tuple, whose
-leading nvars keeps ideals on different variable counts apart, and
-associated primes are read off as the radicals (support sets) of the
-surviving components.
+leading nvars keeps ideals on different variable counts apart; a call
+without a cache memoizes in one of its own.  Associated primes are read off
+as the radicals (support sets) of the surviving components.
 
 Inside the recursion a component is a (support mask, packed vector) pair in
 which an unused variable holds _ABSENT, above every real exponent, so
@@ -47,7 +47,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .ideal import DeadlineExceeded, MonomialIdeal  # re-exported for existing importers
 from .monomial import EXPONENT_CAP, Monomial, exponent_text
@@ -113,10 +113,6 @@ class IrreducibleComponent:
             if a < 1:
                 raise ValueError(f"pure power exponent must be >= 1, got x{i}^{a}")
 
-    @classmethod
-    def from_map(cls, nvars: int, powers: Mapping[int, int]) -> IrreducibleComponent:
-        return cls(nvars, tuple(powers.items()))
-
     @property
     def sort_key(self) -> tuple:
         return (len(self.powers), self.powers)
@@ -172,17 +168,9 @@ class DecompositionCache:
             while len(self._data) > self.maxsize:
                 self._data.popitem(last=False)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-            self.hits = 0
-            self.misses = 0
-
     def __len__(self) -> int:
         return len(self._data)
 
-
-_default_cache = DecompositionCache()
 
 # The exponent of a variable a component does not use.  Monomial exponents
 # never exceed EXPONENT_CAP, so it compares above every real exponent.
@@ -337,14 +325,15 @@ def irreducible_decomposition(
 ) -> tuple[IrreducibleComponent, ...]:
     """Irredundant irreducible decomposition of a nonzero monomial ideal.
 
-    Deterministic: independent of cache state and thread count.  `deadline`
-    is an optional time.monotonic() timestamp; crossing it raises
-    DeadlineExceeded.
+    Deterministic: independent of cache state and thread count.  Without
+    `cache` the memo lives for this call only; pass one DecompositionCache to
+    share work across calls.  `deadline` is an optional time.monotonic()
+    timestamp; crossing it raises DeadlineExceeded.
     """
     if ideal.is_zero:
         raise ValueError("the zero ideal has no irreducible decomposition")
     if cache is None:
-        cache = _default_cache
+        cache = DecompositionCache()
     nvars = ideal.nvars
     guards = _guards(nvars)
     order = _SortKeys(nvars)

@@ -173,7 +173,8 @@ class MonomialIdeal:
         """k-th power by iterated product, minimizing after every step.
 
         `deadline` is a `time.monotonic()` instant, checked once per row of
-        the product loop; past it the build raises DeadlineExceeded.
+        the product loop and after every minimization; past it the build
+        raises DeadlineExceeded.
         """
         if k < 1:
             raise ValueError("power exponent must be >= 1 (the unit ideal is not modeled)")
@@ -188,6 +189,8 @@ class MonomialIdeal:
                     raise DeadlineExceeded("building the power exceeded its time budget")
                 prods.update([tuple(a + b for a, b in zip(u, v)) for v in base])
             cur = _minimize_raw(prods)
+            if deadline is not None and time.monotonic() > deadline:
+                raise DeadlineExceeded("building the power exceeded its time budget")
         return MonomialIdeal._from_minimal(self.nvars, (Monomial(t) for t in cur))
 
     __pow__ = power

@@ -75,7 +75,7 @@ class PathFamilyParams:
         return classify(self.n, self.t)
 
 
-def independent_sets(n: int, t: int, *, max_n: int = MAX_PATH_VERTICES) -> list[tuple[int, ...]]:
+def independent_sets(n: int, t: int) -> list[tuple[int, ...]]:
     """All size-t independent sets of the path on n vertices, lexicographic.
 
     Uses the gap bijection with t-subsets of [n - t + 1], which enumerates in
@@ -83,8 +83,8 @@ def independent_sets(n: int, t: int, *, max_n: int = MAX_PATH_VERTICES) -> list[
     """
     if n < 1 or t < 1:
         raise ValueError("n and t must be positive")
-    if n > max_n:
-        raise ValueError(f"n={n} exceeds the enumeration cap {max_n}")
+    if n > MAX_PATH_VERTICES:
+        raise ValueError(f"n={n} exceeds the enumeration cap {MAX_PATH_VERTICES}")
     if n < 2 * t - 1:
         return []
     return [

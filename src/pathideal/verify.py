@@ -270,13 +270,7 @@ class AstabResult:
         return None if self.observed is None else self.observed == self.predicted
 
 
-def empirical_astab(
-    n: int,
-    t: int,
-    kmax: int,
-    *,
-    cache: Optional[DecompositionCache] = None,
-) -> AstabResult:
+def empirical_astab(n: int, t: int, kmax: int) -> AstabResult:
     """Smallest k0 with Ass stable from k0 through kmax, compared to the prediction."""
     if not all(_is_count(v) for v in (n, t, kmax)):
         raise ValueError("n, t and kmax must be positive integers")
@@ -284,7 +278,7 @@ def empirical_astab(
     ideal = ind_ideal(n, t)
     chains: list[set[VarPrime]] = []
     for k in range(1, kmax + 1):
-        chains.append(set(associated_primes(ideal.power(k), cache=cache)))
+        chains.append(set(associated_primes(ideal.power(k))))
     k0 = kmax
     for k in range(kmax - 1, 0, -1):
         if chains[k - 1] == chains[kmax - 1]:

@@ -1,6 +1,9 @@
 """Splitting decomposition, irredundancy, associated primes, and witnesses."""
 
+import gc
+import sys
 import time
+import tracemalloc
 from random import Random
 
 import pytest
@@ -137,6 +140,29 @@ class TestSplitting:
         with pytest.raises(DeadlineExceeded):
             irreducible_decomposition(power, cache=DecompositionCache(), deadline=deadline)
         assert time.monotonic() - deadline <= 2.0
+
+    def test_call_without_cache_leaves_no_memo(self):
+        # the memo of a call without `cache` is dropped when the call returns
+        power = ind_ideal(7, 3).power(3)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            comps = irreducible_decomposition(power)
+            del comps
+            gc.collect()
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert after - before < 64 * 1024
+
+    def test_no_module_level_memo(self):
+        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "pathideal"]
+        assert len(modules) > 1
+        for module in modules:
+            for name, value in vars(module).items():
+                assert not isinstance(value, DecompositionCache), f"{module.__name__}.{name}"
+                assert not hasattr(value, "cache_info"), f"{module.__name__}.{name}"
 
     def test_cache_eviction_keeps_results_correct(self):
         I = ind_ideal(5, 2).power(2)
@@ -304,6 +330,11 @@ class TestWitness:
         # I : x4*x5 is <x1,x2,x3>, strictly bigger than <x1,x2>
         check = verify_witness(I, 1, Monomial.parse("x4*x5", 5), VarPrime(5, (1, 2)))
         assert not check.ok and check.reason == WITNESS_COLON_TOO_BIG
+
+    def test_truth_value_is_ok(self):
+        I = ind_ideal(5, 2)
+        assert verify_witness(I, 1, Monomial.parse("x4*x5", 5), VarPrime(5, (1, 2, 3)))
+        assert not verify_witness(I, 1, Monomial.parse("x1*x3", 5), VarPrime(5, (1, 2, 3)))
 
     def test_colon_too_small(self):
         I = ind_ideal(5, 2)

@@ -6,7 +6,8 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathideal import ImproperIdeal, Monomial, MonomialIdeal, ind_ideal
+from pathideal import DimensionMismatch, ImproperIdeal, Monomial, MonomialIdeal, ind_ideal
+from pathideal import ideal as ideal_module
 from pathideal.decomposition import DeadlineExceeded
 
 from helpers import (
@@ -99,6 +100,21 @@ class TestSumProductPower:
         with pytest.raises(DeadlineExceeded):
             I.power(4, deadline=time.monotonic() - 1.0)
         assert I.power(4, deadline=time.monotonic() + 60.0) == I.power(4)
+
+    def test_power_deadline_covers_last_minimize(self, monkeypatch):
+        # a deadline that passes during the final minimization stops the build
+        I = ind_ideal(5, 2)
+        real = ideal_module._minimize_raw
+
+        def slow_minimize(exps):
+            kept = real(exps)
+            time.sleep(max(0.0, deadline - time.monotonic()) + 0.01)
+            return kept
+
+        monkeypatch.setattr(ideal_module, "_minimize_raw", slow_minimize)
+        deadline = time.monotonic() + 0.05
+        with pytest.raises(DeadlineExceeded):
+            I.power(2, deadline=deadline)
 
     def test_power_chain_descends(self):
         I = ind_ideal(5, 2)
@@ -247,6 +263,36 @@ class TestRadicalAndEquality:
         I = ind_ideal(4, 2).power(2)
         keys = [g.sort_key for g in I.gens]
         assert keys == sorted(keys)
+
+
+class TestProtocol:
+    def test_equals_within_a_ring(self):
+        assert ideal(3, "x1", "x2*x3").equals(ideal(3, "x2*x3", "x1"))
+        assert not ideal(3, "x1").equals(ideal(3, "x2"))
+
+    def test_equals_across_rings_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            ideal(3, "x1").equals(ideal(4, "x1"))
+
+    def test_membership_operator(self):
+        I = ideal(3, "x1*x2", "x3^2")
+        assert m("x1*x2*x3", 3) in I
+        assert m("x1*x3", 3) not in I
+        with pytest.raises(DimensionMismatch):
+            m("x1*x2", 4) in I
+
+    def test_length_and_iteration_follow_generators(self):
+        I = ideal(3, "x3^2", "x1*x2", "x1*x2*x3")
+        assert len(I) == 2
+        assert list(I) == list(I.gens) == [m("x1*x2", 3), m("x3^2", 3)]
+        assert len(MonomialIdeal.zero(3)) == 0 and list(MonomialIdeal.zero(3)) == []
+
+    def test_text_forms(self):
+        I = ideal(3, "x3^2", "x1*x2")
+        assert str(I) == "<x1*x2, x3^2>"
+        assert repr(I) == "MonomialIdeal(nvars=3, gens=['x1*x2', 'x3^2'])"
+        assert str(MonomialIdeal.zero(3)) == "<0>"
+        assert repr(MonomialIdeal.zero(3)) == "MonomialIdeal(nvars=3, gens=[])"
 
 
 small_ideals = st.integers(min_value=2, max_value=4).flatmap(

@@ -95,6 +95,12 @@ vector_triples = st.integers(min_value=1, max_value=5).flatmap(
 
 class TestLaws:
     @given(vector_pairs)
+    def test_lt_agrees_with_sort_key(self, pair):
+        a, b = Monomial(pair[0]), Monomial(pair[1])
+        assert (a < b) == (a.sort_key < b.sort_key)
+        assert sorted([a, b]) == sorted([a, b], key=lambda x: x.sort_key)
+
+    @given(vector_pairs)
     def test_mul_commutes(self, pair):
         a, b = Monomial(pair[0]), Monomial(pair[1])
         assert a.mul(b) == b.mul(a)
