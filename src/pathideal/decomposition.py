@@ -1,17 +1,10 @@
 """Irreducible decomposition of monomial ideals by recursive splitting.
 
 The public functions take and return MonomialIdeal, Monomial and
-IrreducibleComponent objects.  The recursion between them runs on packed
-integers: the ideal's generators are read once at the start, and the
-components are built once at the end.
-
-Packed layout: an exponent vector is one integer in which variable x_{j+1}
-owns the field of _W bits starting at bit j * _W.  The top bit of each field
-is a guard bit, clear in every packed value; the width comes from
-EXPONENT_CAP, so it is the same in every call.  With G the guard bits of all
-fields, a <= b componentwise iff ((b | G) - a) & G == G: no field borrows
-from its neighbour, and a field keeps its guard exactly when b's entry is at
-least a's.  And a <= b componentwise implies a <= b as integers.
+IrreducibleComponent objects.  The recursion between them runs on the packed
+integers of `ideal` (see its module docstring for the layout): the ideal's
+packed generators are read as they are, and the components are built once
+at the end.
 
 A node of the splitting tree is nvars followed by its minimal generators,
 packed, in canonical order (degree, then canonical text).  The splitting rule
@@ -49,7 +42,8 @@ from functools import reduce
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .ideal import DeadlineExceeded, MonomialIdeal  # re-exported for existing importers
+# DeadlineExceeded and the packed layout are re-exported for existing importers.
+from .ideal import _FIELD, _W, DeadlineExceeded, MonomialIdeal, _guards, _pack, _unpack
 from .monomial import EXPONENT_CAP, Monomial, exponent_text
 
 DEFAULT_CACHE_SIZE = 1 << 16
@@ -87,9 +81,7 @@ class VarPrime:
         return (len(self.vars), self.vars)
 
     def as_ideal(self) -> MonomialIdeal:
-        return MonomialIdeal._from_minimal(
-            self.nvars, (Monomial.variable(i, self.nvars) for i in self.vars)
-        )
+        return MonomialIdeal(self.nvars, (Monomial.variable(i, self.nvars) for i in self.vars))
 
     def __str__(self) -> str:
         return "<" + ",".join(f"x{i}" for i in self.vars) + ">"
@@ -124,7 +116,7 @@ class IrreducibleComponent:
         return VarPrime(self.nvars, self.support())
 
     def as_ideal(self) -> MonomialIdeal:
-        return MonomialIdeal._from_minimal(
+        return MonomialIdeal(
             self.nvars, (Monomial.variable(i, self.nvars, a) for i, a in self.powers)
         )
 
@@ -175,26 +167,6 @@ class DecompositionCache:
 # The exponent of a variable a component does not use.  Monomial exponents
 # never exceed EXPONENT_CAP, so it compares above every real exponent.
 _ABSENT = EXPONENT_CAP + 1
-
-# Packed layout (see the module docstring): variable j owns the _W bits from
-# j * _W up, the top one of them a guard bit that a packed value keeps clear.
-# The width depends on EXPONENT_CAP only, so a value means the same thing in
-# every call that shares a cache.
-_W = _ABSENT.bit_length() + 1
-_FIELD = (1 << (_W - 1)) - 1
-
-
-def _pack(exponents: Sequence[int]) -> int:
-    return sum(e << (j * _W) for j, e in enumerate(exponents))
-
-
-def _unpack(value: int, nvars: int) -> tuple[int, ...]:
-    return tuple((value >> (j * _W)) & _FIELD for j in range(nvars))
-
-
-def _guards(nvars: int) -> int:
-    """The guard bits of the first nvars fields."""
-    return _pack((_FIELD + 1,) * nvars)
 
 
 class _SortKeys(dict):
@@ -337,18 +309,19 @@ def irreducible_decomposition(
     nvars = ideal.nvars
     guards = _guards(nvars)
     order = _SortKeys(nvars)
-    root = [nvars]
-    for g in ideal.gens:
-        m = _pack(g.exponents)
-        order[m] = g.sort_key
-        root.append(m)
+    for m in ideal._packed:
+        # fills the canonical keys under the deadline: a large power's take seconds
+        if deadline is not None and time.monotonic() > deadline:
+            raise DeadlineExceeded("decomposition exceeded its time budget")
+        order[m]
+    root = (nvars, *sorted(ideal._packed, key=order.__getitem__))
 
     # Iterative post-order over the splitting tree.  Each frame pins its
     # children's results so LRU eviction can never force recomputation of a
     # value an in-flight parent still needs.
     # frame = [node, children (None until expanded), collected child results]
     root_result: Optional[_Components] = None
-    stack: list[list] = [[tuple(root), None, []]]
+    stack: list[list] = [[root, None, []]]
     while stack:
         if deadline is not None and time.monotonic() > deadline:
             raise DeadlineExceeded("decomposition exceeded its time budget")

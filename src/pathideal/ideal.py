@@ -1,11 +1,24 @@
-"""Monomial ideals as canonical minimal generating sets, with the full operation algebra."""
+"""Monomial ideals as canonical minimal generating sets, with the full operation algebra.
+
+Packed layout: inside the package an exponent vector is one integer in which
+variable x_{j+1} owns the field of _W bits starting at bit j * _W.  The top
+bit of each field is a guard bit, clear in every packed value; the width
+comes from EXPONENT_CAP, so it is the same in every call.  With G the guard
+bits of all fields, a <= b componentwise iff ((b | G) - a) & G == G: no
+field borrows from its neighbour, and a field keeps its guard exactly when
+b's entry is at least a's.  And a <= b componentwise implies a <= b as
+integers.  A product is one integer addition.  The clipped difference
+max(a - b, 0) keeps the fields of (a | G) - b whose guard survives, and
+lcm(a, b) is b plus that difference.
+"""
 
 from __future__ import annotations
 
 import time
-from typing import Iterable, Iterator, Optional
+from functools import reduce
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .monomial import DimensionMismatch, Monomial
+from .monomial import EXPONENT_CAP, DimensionMismatch, ExponentOverflow, Monomial
 
 
 class DeadlineExceeded(RuntimeError):
@@ -21,74 +34,134 @@ class ImproperIdeal(ValueError):
     """
 
 
-def _minimize_raw(exps: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Minimal generators among exponent tuples.
+# A field holds up to EXPONENT_CAP + 1 (the decomposition's marker of an unused
+# variable) below its guard bit.
+_W = (EXPONENT_CAP + 1).bit_length() + 1
+_FIELD = (1 << (_W - 1)) - 1
+
+
+def _pack(exponents: Sequence[int]) -> int:
+    return sum(e << (j * _W) for j, e in enumerate(exponents))
+
+
+def _unpack(value: int, nvars: int) -> tuple[int, ...]:
+    return tuple((value >> (j * _W)) & _FIELD for j in range(nvars))
+
+
+def _guards(nvars: int) -> int:
+    """The guard bits of the first nvars fields."""
+    return _pack((_FIELD + 1,) * nvars)
+
+
+def _excess(a: int, b: int, guards: int) -> int:
+    """a / gcd(a, b), the fieldwise max(a - b, 0); so lcm(a, b) = b + _excess(a, b)."""
+    t = (a | guards) - b
+    keep = t & guards  # the fields in which a >= b
+    return t & (keep - (keep >> (_W - 1)))
+
+
+def _by_degree(values: Iterable[int]) -> dict[int, set[int]]:
+    blocks: dict[int, set[int]] = {}
+    for g in set(values):
+        degree, rest = 0, g
+        while rest:
+            degree += rest & _FIELD
+            rest >>= _W
+        blocks.setdefault(degree, set()).add(g)
+    return blocks
+
+
+def _minimize_raw(blocks: dict[int, set[int]]) -> list[int]:
+    """Minimal generators among packed vectors, given as degree -> set of vectors.
 
     Any strict divisor has strictly smaller degree, so a sweep in increasing
-    degree that checks candidates only against already-kept tuples of smaller
+    degree that checks candidates only against already-kept vectors of smaller
     degree is exact.  Equigenerated inputs degenerate to pure deduplication.
     """
-    ordered = sorted(set(exps), key=lambda t: (sum(t), t))
-    kept: list[tuple[int, ...]] = []
-    smaller: list[tuple[int, ...]] = []
-    block_degree = -1
-    for t in ordered:
-        d = sum(t)
-        if d != block_degree:
-            smaller = list(kept)
-            block_degree = d
-        if not any(all(a <= b for a, b in zip(g, t)) for g in smaller):
-            kept.append(t)
+    top = max((max(block, default=0) for block in blocks.values()), default=0)
+    guards = _guards(top.bit_length() // _W + 1)
+    kept: list[int] = []
+    for _, block in sorted(blocks.items()):
+        # the new block is built before it joins `kept`
+        kept += [t for t in block if not any(((t | guards) - g) & guards == guards for g in kept)]
     return kept
+
+
+def _products(
+    rows: Sequence[int], columns: Sequence[int], nvars: int, deadline: Optional[float] = None
+) -> dict[int, set[int]]:
+    """Every sum u + v, grouped by degree; `deadline` is checked once per row."""
+    guards = _guards(nvars)
+    top = reduce(lambda a, b: b + _excess(a, b, guards), columns, 0)  # fieldwise max
+    spill = _pack((_FIELD - EXPONENT_CAP,) * nvars)
+    by_degree = _by_degree(columns)
+    sums: dict[int, set[int]] = {}
+    for du, us in _by_degree(rows).items():
+        for u in us:
+            if deadline is not None and time.monotonic() > deadline:
+                raise DeadlineExceeded("building the power exceeded its time budget")
+            # checked before the sum is formed: past the cap it could reach its guard bit
+            if (u + top + spill) & guards:
+                raise ExponentOverflow(f"a product exponent exceeds cap {EXPONENT_CAP}")
+            for d, vs in by_degree.items():
+                sums.setdefault(du + d, set()).update([u + v for v in vs])
+    return sums
 
 
 class MonomialIdeal:
     """A monomial ideal stored by its unique minimal generating set.
 
-    Generators are kept minimized (no generator divides another) and sorted
-    canonically (degree, then canonical text), so ideal equality is plain
-    tuple equality.  The empty generating set is the zero ideal; the unit
-    ideal is not representable (see ImproperIdeal).
+    Generators are kept minimized (no generator divides another), packed,
+    and sorted numerically, so ideal equality is plain tuple equality.
+    `gens` gives them as Monomials in canonical order (degree, then canonical
+    text).  The empty generating set is the zero ideal; the unit ideal is
+    not representable (see ImproperIdeal).
     """
 
-    __slots__ = ("nvars", "gens", "_hash")
+    __slots__ = ("nvars", "_packed", "_gens", "_hash")
 
     def __init__(self, nvars: int, gens: Iterable[Monomial] = ()):
         if nvars < 1:
             raise ValueError("nvars must be positive")
-        monos = list(gens)
-        for g in monos:
+        packed = []
+        for g in gens:
             if g.nvars != nvars:
                 raise DimensionMismatch(
                     f"generator {g} has {g.nvars} variables, ideal has {nvars}"
                 )
-        minimal = _minimize_raw(g.exponents for g in monos)
+            packed.append(_pack(g.exponents))
+        self._store(nvars, _minimize_raw(_by_degree(packed)))
+
+    def _store(self, nvars: int, minimal: Iterable[int]) -> MonomialIdeal:
         self.nvars = nvars
-        self.gens = tuple(sorted((Monomial(t) for t in minimal), key=lambda m: m.sort_key))
-        self._hash = None
-        if self.gens and self.gens[0].is_unit:
+        self._packed = tuple(sorted(minimal))
+        self._gens = self._hash = None
+        if self._packed[:1] == (0,):
             raise ImproperIdeal("the unit ideal is not representable")
+        return self
 
     @classmethod
     def zero(cls, nvars: int) -> MonomialIdeal:
         return cls(nvars)
 
     @classmethod
-    def _from_minimal(cls, nvars: int, gens: Iterable[Monomial]) -> MonomialIdeal:
-        """Fast path for generator sets already known to be minimal."""
-        self = object.__new__(cls)
-        self.nvars = nvars
-        self.gens = tuple(sorted(gens, key=lambda m: m.sort_key))
-        self._hash = None
-        if self.gens and self.gens[0].is_unit:
-            raise ImproperIdeal("the unit ideal is not representable")
-        return self
+    def _from_packed(cls, nvars: int, minimal: Iterable[int]) -> MonomialIdeal:
+        """Fast path for packed generators already known to be minimal."""
+        return object.__new__(cls)._store(nvars, minimal)
+
+    @property
+    def gens(self) -> tuple[Monomial, ...]:
+        """The minimal generators in canonical order, built on first read."""
+        if self._gens is None:
+            monos = (Monomial(_unpack(g, self.nvars)) for g in self._packed)
+            self._gens = tuple(sorted(monos, key=lambda m: m.sort_key))
+        return self._gens
 
     # -- protocol ------------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.gens
+        return not self._packed
 
     @property
     def is_squarefree(self) -> bool:
@@ -98,24 +171,24 @@ class MonomialIdeal:
         return (
             isinstance(other, MonomialIdeal)
             and self.nvars == other.nvars
-            and self.gens == other.gens
+            and self._packed == other._packed
         )
 
     def equals(self, other: MonomialIdeal) -> bool:
         self._check_same_ring(other)
-        return self.gens == other.gens
+        return self._packed == other._packed
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = self._hash = hash((self.nvars, self.gens))
+            h = self._hash = hash((self.nvars, self._packed))
         return h
 
     def __iter__(self) -> Iterator[Monomial]:
         return iter(self.gens)
 
     def __len__(self) -> int:
-        return len(self.gens)
+        return len(self._packed)
 
     def __repr__(self) -> str:
         return f"MonomialIdeal(nvars={self.nvars}, gens={[str(g) for g in self.gens]})"
@@ -139,33 +212,31 @@ class MonomialIdeal:
 
     def contains(self, m: Monomial) -> bool:
         self._check_monomial(m)
-        return any(g.divides(m) for g in self.gens)
+        guards = _guards(self.nvars)
+        u = _pack(m.exponents) | guards
+        return any((u - g) & guards == guards for g in self._packed)
 
     def __contains__(self, m: Monomial) -> bool:
         return self.contains(m)
 
     def is_subset(self, other: MonomialIdeal) -> bool:
         self._check_same_ring(other)
-        return all(other.contains(g) for g in self.gens)
+        guards, theirs = _guards(self.nvars), other._packed
+        return all(any(((u | guards) - g) & guards == guards for g in theirs) for u in self._packed)
 
     # -- algebra ---------------------------------------------------------------
 
     def sum(self, other: MonomialIdeal) -> MonomialIdeal:
         self._check_same_ring(other)
-        return MonomialIdeal(self.nvars, self.gens + other.gens)
+        packed = _by_degree(self._packed + other._packed)
+        return MonomialIdeal._from_packed(self.nvars, _minimize_raw(packed))
 
     __add__ = sum
 
     def product(self, other: MonomialIdeal) -> MonomialIdeal:
         self._check_same_ring(other)
-        prods = {
-            tuple(a + b for a, b in zip(u.exponents, v.exponents))
-            for u in self.gens
-            for v in other.gens
-        }
-        return MonomialIdeal._from_minimal(
-            self.nvars, (Monomial(t) for t in _minimize_raw(prods))
-        )
+        prods = _products(self._packed, other._packed, self.nvars)
+        return MonomialIdeal._from_packed(self.nvars, _minimize_raw(prods))
 
     __mul__ = product
 
@@ -180,33 +251,20 @@ class MonomialIdeal:
             raise ValueError("power exponent must be >= 1 (the unit ideal is not modeled)")
         if self.is_zero or k == 1:
             return self
-        base = [g.exponents for g in self.gens]
-        cur = base
+        cur = self._packed
         for _ in range(k - 1):
-            prods = set()
-            for u in cur:
-                if deadline is not None and time.monotonic() > deadline:
-                    raise DeadlineExceeded("building the power exceeded its time budget")
-                prods.update([tuple(a + b for a, b in zip(u, v)) for v in base])
-            cur = _minimize_raw(prods)
+            cur = _minimize_raw(_products(cur, self._packed, self.nvars, deadline))
             if deadline is not None and time.monotonic() > deadline:
                 raise DeadlineExceeded("building the power exceeded its time budget")
-        return MonomialIdeal._from_minimal(self.nvars, (Monomial(t) for t in cur))
+        return MonomialIdeal._from_packed(self.nvars, cur)
 
     __pow__ = power
 
     def intersect(self, other: MonomialIdeal) -> MonomialIdeal:
         self._check_same_ring(other)
-        if self.is_zero or other.is_zero:
-            return MonomialIdeal.zero(self.nvars)
-        lcms = {
-            tuple(a if a > b else b for a, b in zip(u.exponents, v.exponents))
-            for u in self.gens
-            for v in other.gens
-        }
-        return MonomialIdeal._from_minimal(
-            self.nvars, (Monomial(t) for t in _minimize_raw(lcms))
-        )
+        guards = _guards(self.nvars)
+        lcms = _by_degree(v + _excess(u, v, guards) for u in self._packed for v in other._packed)
+        return MonomialIdeal._from_packed(self.nvars, _minimize_raw(lcms))
 
     def colon_monomial(self, u: Monomial) -> MonomialIdeal:
         """I : u, generated by g / gcd(g, u) over the generators g.
@@ -214,13 +272,9 @@ class MonomialIdeal:
         Raises ImproperIdeal if u lies in I (the colon would be the unit ideal).
         """
         self._check_monomial(u)
-        quots = {
-            tuple(a - b if a > b else 0 for a, b in zip(g.exponents, u.exponents))
-            for g in self.gens
-        }
-        return MonomialIdeal._from_minimal(
-            self.nvars, (Monomial(t) for t in _minimize_raw(quots))
-        )
+        guards, v = _guards(self.nvars), _pack(u.exponents)
+        quots = _by_degree({_excess(g, v, guards) for g in self._packed})
+        return MonomialIdeal._from_packed(self.nvars, _minimize_raw(quots))
 
     def colon_ideal(self, other: MonomialIdeal) -> MonomialIdeal:
         self._check_same_ring(other)

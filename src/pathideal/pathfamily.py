@@ -96,9 +96,7 @@ def independent_sets(n: int, t: int) -> list[tuple[int, ...]]:
 def ind_ideal(n: int, t: int) -> MonomialIdeal:
     """The size-t independence ideal of the path on n vertices (zero if none exist)."""
     sets = independent_sets(n, t)
-    return MonomialIdeal._from_minimal(
-        n, sorted((Monomial.from_support(s, n) for s in sets), key=lambda m: m.sort_key)
-    )
+    return MonomialIdeal(n, (Monomial.from_support(s, n) for s in sets))
 
 
 def independent_set_count(n: int, t: int) -> int:

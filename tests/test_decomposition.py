@@ -23,6 +23,7 @@ from pathideal import (
     minimal_primes_squarefree,
     verify_witness,
 )
+from pathideal import decomposition, ideal
 from pathideal.decomposition import (
     WITNESS_COLON_TOO_BIG,
     WITNESS_COLON_TOO_SMALL,
@@ -141,6 +142,14 @@ class TestSplitting:
             irreducible_decomposition(power, cache=DecompositionCache(), deadline=deadline)
         assert time.monotonic() - deadline <= 2.0
 
+    def test_past_deadline_stops_before_the_root(self):
+        # the canonical keys of a large power take seconds; they are computed under the deadline
+        power = ind_ideal(13, 4).power(3)
+        start = time.monotonic()
+        with pytest.raises(DeadlineExceeded):
+            irreducible_decomposition(power, deadline=start - 1.0)
+        assert time.monotonic() - start < 0.2
+
     def test_call_without_cache_leaves_no_memo(self):
         # the memo of a call without `cache` is dropped when the call returns
         power = ind_ideal(7, 3).power(3)
@@ -225,6 +234,10 @@ def vectors(draw, fields, nvars):
 
 class TestGuardBits:
     # the packed tests inside _prune and _split against componentwise <=
+    def test_layout_has_one_owner(self):
+        for name in ("_pack", "_unpack", "_guards", "_W", "_FIELD"):
+            assert getattr(decomposition, name) is getattr(ideal, name), name
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_containment_matches_componentwise(self, data):

@@ -6,9 +6,17 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathideal import DimensionMismatch, ImproperIdeal, Monomial, MonomialIdeal, ind_ideal
+from pathideal import (
+    DimensionMismatch,
+    ExponentOverflow,
+    ImproperIdeal,
+    Monomial,
+    MonomialIdeal,
+    ind_ideal,
+)
 from pathideal import ideal as ideal_module
 from pathideal.decomposition import DeadlineExceeded
+from pathideal.monomial import EXPONENT_CAP
 
 from helpers import (
     exponent_box,
@@ -115,6 +123,19 @@ class TestSumProductPower:
         deadline = time.monotonic() + 0.05
         with pytest.raises(DeadlineExceeded):
             I.power(2, deadline=deadline)
+
+    def test_exponent_overflow_at_the_cap(self):
+        # products are packed sums, so the kernel itself must refuse a field past the cap
+        x2 = Monomial((0, 1))
+        over = MonomialIdeal(2, [Monomial((EXPONENT_CAP, 0)), x2])
+        with pytest.raises(ExponentOverflow):
+            over.product(over)
+        with pytest.raises(ExponentOverflow):
+            over.power(2)
+        half = MonomialIdeal(2, [Monomial((EXPONENT_CAP // 2, 0)), x2])
+        at_cap = Monomial((EXPONENT_CAP, 0))
+        assert at_cap in half.product(half).gens
+        assert at_cap in half.power(2).gens
 
     def test_power_chain_descends(self):
         I = ind_ideal(5, 2)

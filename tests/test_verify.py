@@ -1,9 +1,11 @@
 """Cell verification, persistence scans, stability scans, grid scans, and the CLI."""
 
+import hashlib
 import json
 import re
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -248,6 +250,14 @@ class TestGridScan:
         )
         assert len(threads) == len(result.reports) == 16
         assert set(threads) == {threading.get_ident()}
+
+    def test_default_scan_matches_reference_bytes(self):
+        # the sha256 of the two files `pathideal scan --out` writes for the default grid
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+        reference = json.loads(path.read_text(encoding="utf-8"))["scan_default"]["full"]
+        result = grid_scan({})
+        for text, key in ((result.structured, "structured_sha256"), (result.table, "table_sha256")):
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest() == reference[key], key
 
     def test_timings_off_by_default(self):
         result = grid_scan({"t_values": [2], "n_range": [3, 4], "k_range": [1, 1]})
