@@ -17,6 +17,7 @@ from .closedform import predicted_ass, predicted_astab, predicted_ntf
 from .decomposition import irreducible_decomposition
 from .pathfamily import PathCase, ZeroIdealError, classify, ind_ideal
 from .verify import (
+    DEFAULT_CELL_BUDGET_SECONDS,
     ConfigError,
     METHOD_DECOMPOSITION,
     METHOD_WITNESS,
@@ -270,14 +271,16 @@ def build_parser() -> argparse.ArgumentParser:
         default="decomposition",
         help="two-sided decomposition (default) or one-sided witness checks",
     )
-    p.add_argument("--budget", type=_budget, default=60.0, help="cell budget in seconds")
+    p.add_argument(
+        "--budget", type=_budget, default=DEFAULT_CELL_BUDGET_SECONDS, help="cell budget in seconds"
+    )
     p.set_defaults(func=_cmd_ass)
 
     p = sub.add_parser("persistence", parents=[common], help="scan chain inclusions up to kmax")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--budget", type=_budget, default=60.0)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_CELL_BUDGET_SECONDS)
     p.set_defaults(func=_cmd_persistence)
 
     p = sub.add_parser("astab", parents=[common], help="empirical index of stability up to kmax")

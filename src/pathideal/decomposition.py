@@ -170,15 +170,17 @@ _ABSENT = EXPONENT_CAP + 1
 
 
 class _SortKeys(dict):
-    """Packed generator -> Monomial.sort_key, filled on demand."""
+    """Packed generator -> a key in Monomial.sort_key order, filled on demand: the
+    degree zero-padded to the widest possible degree, then the canonical text."""
 
     def __init__(self, nvars: int):
         super().__init__()
         self.nvars = nvars
+        self.width = len(str(nvars * EXPONENT_CAP))
 
-    def __missing__(self, m: int) -> tuple:
+    def __missing__(self, m: int) -> str:
         exponents = _unpack(m, self.nvars)
-        key = self[m] = (sum(exponents), exponent_text(exponents))
+        key = self[m] = f"{sum(exponents):0{self.width}d}{exponent_text(exponents)}"
         return key
 
 

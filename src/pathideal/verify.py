@@ -13,7 +13,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import __version__
 from .closedform import predicted_ass, predicted_astab, witness_monomial
@@ -74,7 +74,7 @@ class VerificationReport:
     method: str
     verdict: str
     predicted_count: int
-    computed_count: Optional[int]
+    computed_count: Optional[int] = None
     missing: tuple[VarPrime, ...] = ()
     extra: tuple[VarPrime, ...] = ()
     persistence: Optional[bool] = None
@@ -150,63 +150,58 @@ def verify_cell(
     start = time.monotonic()
     deadline = start + budget_seconds
     predicted = predicted_ass(n, t, k)
+    report = VerificationReport(
+        n=n,
+        t=t,
+        k=k,
+        case=case,
+        method=method,
+        verdict=VERDICT_SKIPPED,
+        predicted_count=len(predicted),
+        one_sided=method == METHOD_WITNESS,
+    )
     try:
         ideal = ind_ideal(n, t)
         power = ideal.power(k, deadline=deadline)
         if method == METHOD_DECOMPOSITION:
-            computed = associated_primes(power, cache=cache, deadline=deadline)
-            predicted_set = set(predicted)
-            computed_set = set(computed)
-            missing = tuple(sorted(predicted_set - computed_set, key=lambda p: p.sort_key))
-            extra = tuple(sorted(computed_set - predicted_set, key=lambda p: p.sort_key))
-            verdict = VERDICT_PASS if not missing and not extra else VERDICT_FAIL
-            return VerificationReport(
-                n=n,
-                t=t,
-                k=k,
-                case=case,
-                method=method,
-                verdict=verdict,
-                predicted_count=len(predicted),
-                computed_count=len(computed),
-                missing=missing,
-                extra=extra,
-                wall_time_ms=(time.monotonic() - start) * 1000.0,
-            )
-        outcomes = []
-        for prime in predicted:
-            if time.monotonic() > deadline:
-                raise DeadlineExceeded("witness sweep exceeded its time budget")
-            u = witness_monomial(n, t, k, prime)
-            check = verify_witness(ideal, k, u, prime, power=power)
-            outcomes.append(WitnessOutcome(prime, check.ok, check.reason))
-        verdict = VERDICT_PASS if all(w.ok for w in outcomes) else VERDICT_FAIL
-        return VerificationReport(
-            n=n,
-            t=t,
-            k=k,
-            case=case,
-            method=method,
-            verdict=verdict,
-            predicted_count=len(predicted),
-            computed_count=None,
-            one_sided=True,
-            witnesses=tuple(outcomes),
-            wall_time_ms=(time.monotonic() - start) * 1000.0,
-        )
+            computed = set(associated_primes(power, cache=cache, deadline=deadline))
+            report.computed_count = len(computed)
+            report.missing = tuple(sorted(set(predicted) - computed, key=lambda p: p.sort_key))
+            report.extra = tuple(sorted(computed - set(predicted), key=lambda p: p.sort_key))
+            ok = not report.missing and not report.extra
+        else:
+            outcomes = []
+            for prime in predicted:
+                if time.monotonic() > deadline:
+                    raise DeadlineExceeded("witness sweep exceeded its time budget")
+                u = witness_monomial(n, t, k, prime)
+                check = verify_witness(ideal, k, u, prime, power=power)
+                outcomes.append(WitnessOutcome(prime, check.ok, check.reason))
+            report.witnesses = tuple(outcomes)
+            ok = all(w.ok for w in outcomes)
+        report.verdict = VERDICT_PASS if ok else VERDICT_FAIL
     except DeadlineExceeded:
-        return VerificationReport(
-            n=n,
-            t=t,
-            k=k,
-            case=case,
-            method=method,
-            verdict=VERDICT_SKIPPED,
-            predicted_count=len(predicted),
-            computed_count=None,
-            one_sided=method == METHOD_WITNESS,
-            wall_time_ms=(time.monotonic() - start) * 1000.0,
+        pass
+    report.wall_time_ms = (time.monotonic() - start) * 1000.0
+    return report
+
+
+def _ass_chain(
+    n: int, t: int, kmax: int, budget_seconds: float, cache: Optional[DecompositionCache]
+) -> Iterator[tuple[VerificationReport, Optional[set[VarPrime]]]]:
+    """verify_cell for k = 1..kmax, each report with its computed Ass set.
+
+    The set is read back as predicted - missing + extra, and is None when the
+    cell is SKIPPED or ZERO.
+    """
+    for k in range(1, kmax + 1):
+        report = verify_cell(
+            n, t, k, METHOD_DECOMPOSITION, budget_seconds=budget_seconds, cache=cache
         )
+        computed = None
+        if report.verdict in (VERDICT_PASS, VERDICT_FAIL):
+            computed = (set(predicted_ass(n, t, k)) - set(report.missing)) | set(report.extra)
+        yield report, computed
 
 
 def persistence_scan(
@@ -220,28 +215,19 @@ def persistence_scan(
     """Associated primes for k = 1..kmax with chain-inclusion flags.
 
     Each report's persistence flag records whether the computed set at k
-    contains the computed set at k-1 (vacuously true at k = 1).  The computed
-    set is read back from the report, as predicted - missing + extra.
+    contains the computed set at k-1 (vacuously true at k = 1).  The flag is
+    None when either set is unknown: the cell at k or at k-1 is SKIPPED or ZERO.
     """
-    if not all(_is_count(v) for v in (n, t, kmax)):
+    if not _is_count(kmax):
         raise ValueError("n, t and kmax must be positive integers")
     if kmax < 2:
         raise ValueError("kmax must be at least 2")
-    if not _is_budget(budget_seconds):
-        raise ValueError("budget_seconds must be a finite number above zero")
-    case = classify(n, t)
-    if case is PathCase.ZERO:
-        return [_zero_report(n, t, k, METHOD_DECOMPOSITION) for k in range(1, kmax + 1)]
     reports = []
-    previous: Optional[set[VarPrime]] = None
-    for k in range(1, kmax + 1):
-        report = verify_cell(
-            n, t, k, METHOD_DECOMPOSITION, budget_seconds=budget_seconds, cache=cache
-        )
-        if report.verdict != VERDICT_SKIPPED:
-            computed = (set(predicted_ass(n, t, k)) - set(report.missing)) | set(report.extra)
-            report.persistence = True if previous is None else previous <= computed
-            previous = computed
+    previous: Optional[set[VarPrime]] = set()
+    for report, computed in _ass_chain(n, t, kmax, budget_seconds, cache):
+        if computed is not None and previous is not None:
+            report.persistence = previous <= computed
+        previous = computed
         reports.append(report)
     return reports
 
@@ -250,8 +236,9 @@ def persistence_scan(
 class AstabResult:
     """Empirical index of stability from a bounded scan of powers.
 
-    `observed` is None when the scan window cannot certify stabilization
-    (the first stable index coincides with kmax).
+    `observed` is None when the scan window cannot certify stabilization:
+    the first stable index coincides with kmax, or some power was SKIPPED
+    (its entry in `chain_sizes` is then None).
     """
 
     n: int
@@ -259,7 +246,7 @@ class AstabResult:
     kmax: int
     observed: Optional[int]
     predicted: int
-    chain_sizes: tuple[int, ...]
+    chain_sizes: tuple[Optional[int], ...]
 
     @property
     def undetermined(self) -> bool:
@@ -271,28 +258,26 @@ class AstabResult:
 
 
 def empirical_astab(n: int, t: int, kmax: int) -> AstabResult:
-    """Smallest k0 with Ass stable from k0 through kmax, compared to the prediction."""
+    """Smallest k0 with Ass stable from k0 through kmax, compared to the prediction.
+
+    Each power runs under DEFAULT_CELL_BUDGET_SECONDS; a SKIPPED power leaves
+    the result undetermined.
+    """
     if not all(_is_count(v) for v in (n, t, kmax)):
         raise ValueError("n, t and kmax must be positive integers")
     predicted = predicted_astab(n, t)
-    ideal = ind_ideal(n, t)
-    chains: list[set[VarPrime]] = []
-    for k in range(1, kmax + 1):
-        chains.append(set(associated_primes(ideal.power(k))))
+    chains = [c for _, c in _ass_chain(n, t, kmax, DEFAULT_CELL_BUDGET_SECONDS, None)]
     k0 = kmax
-    for k in range(kmax - 1, 0, -1):
-        if chains[k - 1] == chains[kmax - 1]:
-            k0 = k
-        else:
-            break
-    observed = None if k0 == kmax else k0
+    if None not in chains:
+        while k0 > 1 and chains[k0 - 2] == chains[kmax - 1]:
+            k0 -= 1
     return AstabResult(
         n=n,
         t=t,
         kmax=kmax,
-        observed=observed,
+        observed=None if k0 == kmax else k0,
         predicted=predicted,
-        chain_sizes=tuple(len(c) for c in chains),
+        chain_sizes=tuple(None if c is None else len(c) for c in chains),
     )
 
 

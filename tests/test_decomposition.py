@@ -124,6 +124,19 @@ class TestSplitting:
             comps = irreducible_decomposition(ind_ideal(n, t).power(k), cache=cache)
             assert (cache.misses, cache.hits, len(comps)) == (misses, hits, count)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_sort_keys_order_like_monomials(self, data):
+        # the padded degree keeps degree 9 before degree 10 in one string key
+        nvars = data.draw(st.integers(1, 6))
+        exponents = st.one_of(st.integers(0, 12), st.just(EXPONENT_CAP))
+        vecs = data.draw(
+            st.lists(st.tuples(*[exponents] * nvars), min_size=2, max_size=20, unique=True)
+        )
+        by_key = sorted(map(_pack, vecs), key=_SortKeys(nvars).__getitem__)
+        by_monomial = sorted(vecs, key=lambda v: Monomial(v).sort_key)
+        assert by_key == [_pack(v) for v in by_monomial]
+
     def test_shared_cache_keeps_variable_counts_apart(self):
         # the packed generators of a 7-variable ideal and its copy in 8 variables agree
         seven = ind_ideal(7, 2).power(2)

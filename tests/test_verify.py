@@ -18,8 +18,12 @@ from pathideal import (
     verify,
     verify_cell,
 )
-from pathideal.cli import main
+from pathideal.cli import build_parser, main
+from pathideal.decomposition import DeadlineExceeded
+from pathideal.ideal import MonomialIdeal
+from pathideal.pathfamily import ZeroIdealError
 from pathideal.verify import (
+    DEFAULT_CELL_BUDGET_SECONDS,
     ConfigError,
     METHOD_DECOMPOSITION,
     METHOD_WITNESS,
@@ -32,6 +36,21 @@ from pathideal.verify import (
 
 # a NaN deadline never fires, and a boolean is not a number of seconds
 BAD_BUDGETS = [float("nan"), float("inf"), float("-inf"), 0, 0.0, -1.0, True, False]
+
+
+def skip_power(monkeypatch, skipped_k):
+    """Make building the given power run out of time; record every power's deadline."""
+    deadlines = []
+    real_power = MonomialIdeal.power
+
+    def power(self, k, *, deadline=None):
+        deadlines.append(deadline)
+        if k == skipped_k:
+            raise DeadlineExceeded("forced")
+        return real_power(self, k, deadline=deadline)
+
+    monkeypatch.setattr(MonomialIdeal, "power", power)
+    return deadlines
 
 
 @pytest.mark.parametrize("bad", [True, False, 0, 2.0])
@@ -121,6 +140,22 @@ class TestPersistenceScan:
         with pytest.raises(ValueError):
             persistence_scan(5, 2, 1)
 
+    def test_flag_unknown_after_skipped_cell(self, monkeypatch):
+        # the flag at k compares k with k-1; a SKIPPED k-1 leaves it unknown
+        skip_power(monkeypatch, 2)
+        reports = persistence_scan(6, 2, 3)
+        assert [(r.k, r.verdict, r.persistence) for r in reports] == [
+            (1, VERDICT_PASS, True),
+            (2, VERDICT_SKIPPED, None),
+            (3, VERDICT_PASS, None),
+        ]
+
+    def test_zero_chain_has_no_flags(self):
+        reports = persistence_scan(2, 2, 3)
+        assert [(r.k, r.verdict, r.persistence) for r in reports] == [
+            (k, VERDICT_ZERO, None) for k in (1, 2, 3)
+        ]
+
     @pytest.mark.parametrize("budget", BAD_BUDGETS)
     def test_bad_budget_rejected(self, budget):
         # the zero case (2, 2) returns without decomposing, and still checks
@@ -154,6 +189,28 @@ class TestEmpiricalAstab:
     def test_kmax_validation(self):
         with pytest.raises(ValueError):
             empirical_astab(5, 2, 0)
+
+    def test_single_power_is_undetermined(self):
+        result = empirical_astab(5, 2, 1)
+        assert result.undetermined and result.chain_sizes == (4,)
+
+    def test_each_power_is_bounded(self, monkeypatch):
+        # every power gets the cell budget, and a SKIPPED one leaves the index open
+        deadlines = skip_power(monkeypatch, 2)
+        earliest = time.monotonic() + DEFAULT_CELL_BUDGET_SECONDS
+        result = empirical_astab(5, 2, 4)
+        latest = time.monotonic() + DEFAULT_CELL_BUDGET_SECONDS
+        assert result.undetermined and result.matches is None
+        assert result.chain_sizes == (4, None, 5, 5)
+        assert len(deadlines) == 4 and all(earliest <= d <= latest for d in deadlines)
+
+    def test_zero_ideal_raises_before_any_cell(self, monkeypatch):
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(verify, "verify_cell", no_cell)
+        with pytest.raises(ZeroIdealError):
+            empirical_astab(2, 2, 3)
 
 
 class TestConfig:
@@ -308,6 +365,22 @@ class TestCli:
     def test_astab_undetermined(self, capsys):
         assert main(["astab", "--n", "7", "--t", "3", "--kmax", "2"]) == 0
         assert "UNDETERMINED" in capsys.readouterr().out
+
+    def test_astab_skipped_power_undetermined(self, monkeypatch, capsys):
+        skip_power(monkeypatch, 2)
+        assert main(["astab", "--n", "5", "--t", "2", "--kmax", "4"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("observed index of stability: UNDETERMINED ")
+        assert "chain sizes [4, None, 5, 5]" in out
+
+    def test_astab_zero_ideal(self, capsys):
+        assert main(["astab", "--n", "2", "--t", "2", "--kmax", "3"]) == 0
+        assert capsys.readouterr().out == "zero ideal for n=2, t=2\n"
+
+    @pytest.mark.parametrize("command, size", [("ass", "--k"), ("persistence", "--kmax")])
+    def test_default_budget_is_the_cell_default(self, command, size):
+        args = build_parser().parse_args([command, "--n", "5", "--t", "2", size, "2"])
+        assert args.budget == DEFAULT_CELL_BUDGET_SECONDS
 
     def test_scan_writes_both_reports(self, tmp_path, capsys):
         config = tmp_path / "config.json"
