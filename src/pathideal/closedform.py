@@ -10,6 +10,7 @@ module never computes a decomposition itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 from .decomposition import IrreducibleComponent, VarPrime
 from .monomial import Monomial
@@ -30,11 +31,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ParityPrime:
-    """A variable prime whose j-th index has the parity of j.
+    """A variable prime on indices i_1 < ... < i_L in [n] with i_j = j (mod 2).
 
-    These are exactly the primes that occur for powers when n >= 2t.  The
-    `level` is the smallest power exponent at which the prime is associated;
-    the index list has length n - 2t + 2*level.
+    Every predicted associated prime has this shape, with L = n - 2t + 2*level.
+    `level` is the smallest power exponent at which the prime is associated.
+    This class holds the primes of n >= 2t, where levels run over 1..t; the
+    odd singletons of n = 2t - 1 follow the same rule at level 1.
     """
 
     n: int
@@ -65,25 +67,15 @@ class ParityPrime:
 
 
 def _parity_index_lists(n: int, length: int) -> list[tuple[int, ...]]:
-    """All increasing index lists i_1 < ... < i_length in [n] with i_j = j (mod 2)."""
-    results: list[tuple[int, ...]] = []
-    current: list[int] = []
+    """All increasing index lists i_1 < ... < i_length in [n] with i_j = j (mod 2).
 
-    def extend(position: int, start: int) -> None:
-        if position > length:
-            results.append(tuple(current))
-            return
-        # i >= position is forced by strict increase; parity must match position
-        first = max(start, position)
-        if (first - position) % 2 != 0:
-            first += 1
-        for i in range(first, n + 1, 2):
-            current.append(i)
-            extend(position + 1, i + 1)
-            current.pop()
-
-    extend(1, 1)
-    return results
+    The bijection i_j = j + 2*a_j maps them onto the nondecreasing sequences a
+    with entries in 0..(n - length)//2, in the same lexicographic order.
+    """
+    return [
+        tuple(j + 2 * a for j, a in enumerate(combo, start=1))
+        for combo in combinations_with_replacement(range((n - length) // 2 + 1), length)
+    ]
 
 
 def enumerate_parity_primes(n: int, t: int, level: int) -> tuple[ParityPrime, ...]:
@@ -93,7 +85,7 @@ def enumerate_parity_primes(n: int, t: int, level: int) -> tuple[ParityPrime, ..
     if not 1 <= level <= t:
         raise ValueError(f"level {level} out of range [1, {t}]")
     if n < 2 * t or (n == 2 * t and level != 1):
-        raise ValueError(f"parity primes are enumerated for n > 2t, or n = 2t with level 1")
+        raise ValueError("parity primes are enumerated for n > 2t, or n = 2t with level 1")
     length = n - 2 * t + 2 * level
     return tuple(
         ParityPrime(n, t, level, idx) for idx in _parity_index_lists(n, length)
@@ -103,52 +95,35 @@ def enumerate_parity_primes(n: int, t: int, level: int) -> tuple[ParityPrime, ..
 def predicted_ass(n: int, t: int, k: int) -> tuple[VarPrime, ...]:
     """The predicted set of associated primes of the k-th power, canonically ordered.
 
-    Three regimes: n = 2t - 1 gives the odd singletons; n = 2t gives all
-    (odd, even) pairs; n > 2t gives the parity primes of every level up to
-    min(t, k).  t = 1 degenerates to the maximal prime through the same
-    formulas.  Output is sorted by prime size (equivalently level), then
-    lexicographically.
+    One rule covers every nonzero regime: the primes on index lists
+    i_1 < ... < i_L in [n] with i_j = j (mod 2) and L = n - 2t + 2*level, for
+    every level from 1 to min(t, k) when n > 2t and level 1 otherwise.  So
+    t = 1 gives the maximal prime, n = 2t - 1 the odd singletons and n = 2t
+    the (odd, even) pairs.  Output is sorted by prime size (equivalently
+    level), then lexicographically.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    case = classify(n, t)
-    if case is PathCase.ZERO:
+    if classify(n, t) is PathCase.ZERO:
         raise ZeroIdealError(n, t)
-    if case is PathCase.DEGENERATE_T1:
-        return (VarPrime(n, tuple(range(1, n + 1))),)
-    if case is PathCase.CASE_2T_MINUS_1:
-        return tuple(VarPrime(n, (i,)) for i in range(1, n + 1, 2))
-    if case is PathCase.CASE_2T:
-        pairs = [
-            VarPrime(n, (i, j))
-            for i in range(1, n, 2)
-            for j in range(i + 1, n + 1)
-            if j % 2 == 0
-        ]
-        return tuple(sorted(pairs, key=lambda p: p.sort_key))
-    primes: list[VarPrime] = []
-    for level in range(1, min(t, k) + 1):
-        primes.extend(p.to_var_prime() for p in enumerate_parity_primes(n, t, level))
+    top = min(t, k) if n > 2 * t else 1
+    primes = [
+        VarPrime(n, idx)
+        for level in range(1, top + 1)
+        for idx in _parity_index_lists(n, n - 2 * t + 2 * level)
+    ]
     return tuple(sorted(primes, key=lambda p: p.sort_key))
 
 
 def predicted_astab(n: int, t: int) -> int:
-    """Predicted index of stability: 1 when n is 2t-1 or 2t, else t."""
-    case = classify(n, t)
-    if case is PathCase.ZERO:
+    """Predicted index of stability: t when n > 2t, else 1."""
+    if classify(n, t) is PathCase.ZERO:
         raise ZeroIdealError(n, t)
-    if case in (PathCase.CASE_2T_MINUS_1, PathCase.CASE_2T):
-        return 1
-    if case is PathCase.DEGENERATE_T1:
-        return 1
-    return t
+    return t if n > 2 * t else 1
 
 
 def predicted_stable_set(n: int, t: int) -> tuple[VarPrime, ...]:
     """The stable set of associated primes: the prediction at k = t."""
-    case = classify(n, t)
-    if case is PathCase.ZERO:
-        raise ZeroIdealError(n, t)
     return predicted_ass(n, t, t)
 
 
@@ -176,9 +151,7 @@ def predicted_decomposition_2t(t: int, k: int) -> PredictedDecomposition:
     n = 2 * t
     components = [
         IrreducibleComponent(n, ((i, r), (j, k + 1 - r)))
-        for i in range(1, n, 2)
-        for j in range(i + 1, n + 1)
-        if j % 2 == 0
+        for i, j in _parity_index_lists(n, 2)
         for r in range(1, k + 1)
     ]
     return PredictedDecomposition(tuple(sorted(components, key=lambda c: c.sort_key)))
@@ -192,39 +165,31 @@ def _complement_monomial(n: int, vars_in_prime: tuple[int, ...]) -> Monomial:
 def witness_monomial(n: int, t: int, k: int, prime: VarPrime) -> Monomial:
     """Construct the monomial u with I^k : u equal to `prime` and u outside I^k.
 
-    The construction depends on the regime.  With A the complement of the
-    prime's index set and x^A its squarefree monomial:
+    The prime is a parity prime (see `predicted_ass`) of some level L <= k.
+    With A the complement of its index set and x^A the squarefree monomial
+    on A:
 
-    * t = 1: u = x1^(k-1).
     * n = 2t - 1 (prime <x_j>): u is the k-th power of the odd-index product,
       divided by x_j.
-    * n = 2t (prime <x_i1, x_i2>): u = (x_i1 * x^A)^(k-1) * x^A.
-    * n > 2t, level 1: u = (x_i1 * x^A)^(k-1) * x^A, by analogy with n = 2t.
-    * n > 2t, level L >= 2: with blocks built from the odd-position entries
-      i_1, i_3, ..., i_{2L+1} of the prime,
+    * level 1 otherwise: u = (x_i1 * x^A)^(k-1) * x^A.  This covers t = 1,
+      where A is empty and u = x1^(k-1), and n = 2t, where every prime has
+      level 1.
+    * level L >= 2 (so n > 2t): with blocks built from the odd-position
+      entries i_1, i_3, ..., i_{2L+1} of the prime,
           block_j = (x_{i_1} x_{i_3} ... x_{i_{2L+1}}) / x_{i_{2j-1}},
           tail    = x_{i_1} x_{i_3} ... x_{i_{2L-3}},
       u = (x^A * block_1)^(k-L+1) * prod_{j=2}^{L-1} (x^A * block_j) * (x^A * tail).
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    case = classify(n, t)
-    if case is PathCase.ZERO:
-        raise ZeroIdealError(n, t)
     predicted = predicted_ass(n, t, k)
-    if case is PathCase.CASE_GT_2T:
-        level = (len(prime.vars) - (n - 2 * t)) // 2
-        if level > k:
-            raise ValueError(
-                f"prime of level {level} is not associated to the {k}-th power"
-            )
+    level = (len(prime.vars) - (n - 2 * t)) // 2
+    if n > 2 * t and level > k:
+        raise ValueError(
+            f"prime of level {level} is not associated to the {k}-th power"
+        )
     if prime not in predicted:
         raise ValueError(f"{prime} is not a predicted associated prime for n={n}, t={t}, k={k}")
 
-    if case is PathCase.DEGENERATE_T1:
-        return Monomial.variable(1, n, k - 1)  # exponent 0 is the unit monomial
-
-    if case is PathCase.CASE_2T_MINUS_1:
+    if n == 2 * t - 1:
         (j,) = prime.vars
         exps = [0] * n
         for i in range(1, n + 1, 2):
@@ -233,11 +198,6 @@ def witness_monomial(n: int, t: int, k: int, prime: VarPrime) -> Monomial:
         return Monomial(exps)
 
     xa = _complement_monomial(n, prime.vars)
-    if case is PathCase.CASE_2T:
-        i1 = prime.vars[0]
-        return Monomial.variable(i1, n).mul(xa).power(k - 1).mul(xa)
-
-    level = (len(prime.vars) - (n - 2 * t)) // 2
     if level == 1:
         i1 = prime.vars[0]
         return Monomial.variable(i1, n).mul(xa).power(k - 1).mul(xa)

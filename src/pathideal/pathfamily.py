@@ -154,16 +154,6 @@ class ComplementChecks(NamedTuple):
     fill_ok: bool
 
 
-def _nonadjacent_position_subsets(m: int, size: int) -> list[tuple[int, ...]]:
-    """Size-`size` subsets of positions 0..m-1 with no two consecutive positions."""
-    if size == 0:
-        return [()]
-    return [
-        tuple(p + shift for shift, p in enumerate(combo))
-        for combo in combinations(range(m - size + 1), size)
-    ]
-
-
 def parity_complement_checks(n: int, t: int, prime: VarPrime, level: int) -> ComplementChecks:
     """Exhaustively check the complement-size, meet, and fill properties of a prime.
 
@@ -179,17 +169,18 @@ def parity_complement_checks(n: int, t: int, prime: VarPrime, level: int) -> Com
         raise ValueError(f"prime {prime} has variables beyond n={n}")
 
     b = prime.vars
-    a = [v for v in range(1, n + 1) if v not in set(b)]
+    b_set = set(b)
+    a = [v for v in range(1, n + 1) if v not in b_set]
     size_ok = len(a) == 2 * t - 2 * level
 
     sets = independent_sets(n, t)
-    b_set = set(b)
     meet_ok = all(sum(1 for v in s if v in b_set) >= level for s in sets)
 
     ideal = ind_ideal(n, t)
     fill_ok = True
-    for positions in _nonadjacent_position_subsets(len(b), level):
-        h = [b[p] for p in positions]
+    # positions in B's index list with no two adjacent: an independent set of a path
+    for positions in independent_sets(len(b), level):
+        h = [b[p - 1] for p in positions]
         if not ideal.contains(Monomial.from_support(h + a, n)):
             fill_ok = False
             break

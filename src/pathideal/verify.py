@@ -237,8 +237,9 @@ class AstabResult:
     """Empirical index of stability from a bounded scan of powers.
 
     `observed` is None when the scan window cannot certify stabilization:
-    the first stable index coincides with kmax, or some power was SKIPPED
-    (its entry in `chain_sizes` is then None).
+    the first stable index coincides with kmax, or some power was SKIPPED.
+    The scan stops at the first SKIPPED power, so its entry in `chain_sizes`
+    and those of every later power are None.
     """
 
     n: int
@@ -260,13 +261,18 @@ class AstabResult:
 def empirical_astab(n: int, t: int, kmax: int) -> AstabResult:
     """Smallest k0 with Ass stable from k0 through kmax, compared to the prediction.
 
-    Each power runs under DEFAULT_CELL_BUDGET_SECONDS; a SKIPPED power leaves
-    the result undetermined.
+    Each power runs under DEFAULT_CELL_BUDGET_SECONDS.  A SKIPPED power leaves
+    the result undetermined, so no later power is built.
     """
     if not all(_is_count(v) for v in (n, t, kmax)):
         raise ValueError("n, t and kmax must be positive integers")
     predicted = predicted_astab(n, t)
-    chains = [c for _, c in _ass_chain(n, t, kmax, DEFAULT_CELL_BUDGET_SECONDS, None)]
+    chains: list[Optional[set[VarPrime]]] = []
+    for _, computed in _ass_chain(n, t, kmax, DEFAULT_CELL_BUDGET_SECONDS, None):
+        chains.append(computed)
+        if computed is None:
+            break
+    chains += [None] * (kmax - len(chains))
     k0 = kmax
     if None not in chains:
         while k0 > 1 and chains[k0 - 2] == chains[kmax - 1]:
@@ -348,7 +354,17 @@ class ScanResult:
     table: str = field(repr=False, default="")
 
 
-def _render_structured(config: dict, reports: Sequence[VerificationReport]) -> str:
+def _verdict_counts(reports: Sequence[VerificationReport]) -> dict[str, int]:
+    """Cells per verdict, keyed and ordered as both report summaries print them."""
+    return {
+        verdict.lower(): sum(r.verdict == verdict for r in reports)
+        for verdict in (VERDICT_PASS, VERDICT_FAIL, VERDICT_SKIPPED, VERDICT_ZERO)
+    }
+
+
+def _render_structured(
+    config: dict, reports: Sequence[VerificationReport], counts: dict[str, int]
+) -> str:
     include_timings = config["include_timings"]
     # parallelism is accepted for existing configs but selects nothing; leaving
     # it out keeps reports byte-identical whatever value a config sends
@@ -356,18 +372,14 @@ def _render_structured(config: dict, reports: Sequence[VerificationReport]) -> s
     doc = {
         "header": {"tool": "pathideal", "version": __version__, "config": echo},
         "cells": [r.to_record(include_timings) for r in reports],
-        "summary": {
-            "cells": len(reports),
-            "pass": sum(r.verdict == VERDICT_PASS for r in reports),
-            "fail": sum(r.verdict == VERDICT_FAIL for r in reports),
-            "skipped": sum(r.verdict == VERDICT_SKIPPED for r in reports),
-            "zero": sum(r.verdict == VERDICT_ZERO for r in reports),
-        },
+        "summary": {"cells": len(reports), **counts},
     }
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _render_table(config: dict, reports: Sequence[VerificationReport]) -> str:
+def _render_table(
+    config: dict, reports: Sequence[VerificationReport], counts: dict[str, int]
+) -> str:
     include_timings = config["include_timings"]
     lines = [
         f"pathideal {__version__} grid scan",
@@ -397,13 +409,7 @@ def _render_table(config: dict, reports: Sequence[VerificationReport]) -> str:
             row += f"  {r.wall_time_ms:.1f}"
         lines.append(row)
     lines.append("")
-    lines.append(
-        "summary: "
-        f"pass={sum(r.verdict == VERDICT_PASS for r in reports)} "
-        f"fail={sum(r.verdict == VERDICT_FAIL for r in reports)} "
-        f"skipped={sum(r.verdict == VERDICT_SKIPPED for r in reports)} "
-        f"zero={sum(r.verdict == VERDICT_ZERO for r in reports)}"
-    )
+    lines.append("summary: " + " ".join(f"{name}={count}" for name, count in counts.items()))
     if config["method"] == METHOD_WITNESS:
         lines.append(
             "note: witness-only verification is one-sided; it cannot detect extra primes"
@@ -433,11 +439,11 @@ def grid_scan(config: dict, *, cache: Optional[DecompositionCache] = None) -> Sc
         for n in range(config["n_range"][0], config["n_range"][1] + 1)
         for k in range(config["k_range"][0], config["k_range"][1] + 1)
     ]
-    exit_code = 1 if any(r.verdict == VERDICT_FAIL for r in reports) else 0
+    counts = _verdict_counts(reports)
     return ScanResult(
         config=config,
         reports=reports,
-        exit_code=exit_code,
-        structured=_render_structured(config, reports),
-        table=_render_table(config, reports),
+        exit_code=1 if counts["fail"] else 0,
+        structured=_render_structured(config, reports, counts),
+        table=_render_table(config, reports, counts),
     )

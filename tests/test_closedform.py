@@ -112,6 +112,21 @@ class TestPredictedAss:
     def test_degenerate_t1(self):
         assert [p.vars for p in predicted_ass(4, 1, 3)] == [(1, 2, 3, 4)]
 
+    def test_one_parity_rule_for_every_regime(self):
+        # t = 1, n = 2t - 1, n = 2t and n > 2t all follow the same index rule
+        for t in range(1, 6):
+            for n in range(2 * t - 1, 13):
+                for k in range(1, t + 2):
+                    top = min(t, k) if n > 2 * t else 1
+                    expected = [
+                        combo
+                        for level in range(1, top + 1)
+                        for combo in brute_parity_tuples(n, n - 2 * t + 2 * level)
+                    ]
+                    assert [p.vars for p in predicted_ass(n, t, k)] == sorted(
+                        expected, key=lambda c: (len(c), c)
+                    ), (n, t, k)
+
     def test_zero_rejected_with_tag(self):
         with pytest.raises(ZeroIdealError) as err:
             predicted_ass(2, 2, 1)
@@ -135,6 +150,9 @@ class TestStability:
     def test_even_and_tight_cases(self):
         assert predicted_astab(4, 2) == 1 and predicted_ntf(4, 2)
         assert predicted_astab(3, 2) == 1 and predicted_ntf(3, 2)
+
+    def test_degenerate_t1(self):
+        assert predicted_astab(5, 1) == predicted_astab(1, 1) == 1
 
     def test_wide_case(self):
         assert predicted_astab(5, 2) == 2 and not predicted_ntf(5, 2)
@@ -198,6 +216,17 @@ class TestWitnessMonomial:
     def test_tight_case(self):
         u = witness_monomial(3, 2, 2, VarPrime(3, (3,)))
         assert u.text() == "x1^2*x3"
+
+    @pytest.mark.parametrize(
+        "n, t, k, indices, text",
+        [
+            (4, 1, 3, (1, 2, 3, 4), "x1^2"),
+            (5, 1, 1, (1, 2, 3, 4, 5), "1"),
+            (4, 2, 3, (1, 4), "x1^2*x2^3*x3^3"),
+        ],
+    )
+    def test_level_one_formula_covers_t1_and_even_case(self, n, t, k, indices, text):
+        assert witness_monomial(n, t, k, VarPrime(n, indices)).text() == text
 
     def test_rejects_unpredicted_prime(self):
         with pytest.raises(ValueError):

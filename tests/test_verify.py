@@ -195,14 +195,15 @@ class TestEmpiricalAstab:
         assert result.undetermined and result.chain_sizes == (4,)
 
     def test_each_power_is_bounded(self, monkeypatch):
-        # every power gets the cell budget, and a SKIPPED one leaves the index open
+        # every power gets the cell budget; a SKIPPED one leaves the index open
+        # and no later power is built
         deadlines = skip_power(monkeypatch, 2)
         earliest = time.monotonic() + DEFAULT_CELL_BUDGET_SECONDS
         result = empirical_astab(5, 2, 4)
         latest = time.monotonic() + DEFAULT_CELL_BUDGET_SECONDS
         assert result.undetermined and result.matches is None
-        assert result.chain_sizes == (4, None, 5, 5)
-        assert len(deadlines) == 4 and all(earliest <= d <= latest for d in deadlines)
+        assert result.chain_sizes == (4, None, None, None)
+        assert len(deadlines) == 2 and all(earliest <= d <= latest for d in deadlines)
 
     def test_zero_ideal_raises_before_any_cell(self, monkeypatch):
         def no_cell(*args, **kwargs):
@@ -371,7 +372,7 @@ class TestCli:
         assert main(["astab", "--n", "5", "--t", "2", "--kmax", "4"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("observed index of stability: UNDETERMINED ")
-        assert "chain sizes [4, None, 5, 5]" in out
+        assert "chain sizes [4, None, None, None]" in out
 
     def test_astab_zero_ideal(self, capsys):
         assert main(["astab", "--n", "2", "--t", "2", "--kmax", "3"]) == 0
