@@ -9,12 +9,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
 from .closedform import predicted_ass, predicted_astab, predicted_ntf
-from .decomposition import irreducible_decomposition
+from .decomposition import DeadlineExceeded, irreducible_decomposition
 from .pathfamily import PathCase, ZeroIdealError, classify, ind_ideal
 from .verify import (
     DEFAULT_CELL_BUDGET_SECONDS,
@@ -107,18 +108,28 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
             args.format,
         )
         return 0
-    power = ind_ideal(args.n, args.t).power(args.k)
-    components = irreducible_decomposition(power)
+    deadline = time.monotonic() + DEFAULT_CELL_BUDGET_SECONDS
+    try:
+        power = ind_ideal(args.n, args.t).power(args.k, deadline=deadline)
+        components = irreducible_decomposition(power, deadline=deadline)
+    except DeadlineExceeded:
+        components = None
     payload = {
         "n": args.n,
         "t": args.t,
         "k": args.k,
         "case": case.value,
-        "count": len(components),
-        "components": [c.gens_text() for c in components],
+        "count": None if components is None else len(components),
+        "components": None if components is None else [c.gens_text() for c in components],
     }
-    lines = [f"irreducible components of power {args.k}: {len(components)}"]
-    lines.extend(str(c) for c in components)
+    if components is None:
+        lines = [
+            f"irreducible components of power {args.k}: "
+            f"SKIPPED (cell budget of {DEFAULT_CELL_BUDGET_SECONDS:g} s exceeded)"
+        ]
+    else:
+        lines = [f"irreducible components of power {args.k}: {len(components)}"]
+        lines.extend(str(c) for c in components)
     _emit(payload, lines, args.format)
     return 0
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from typing import Optional
 
 from .decomposition import IrreducibleComponent, VarPrime
 from .monomial import Monomial
@@ -51,19 +52,24 @@ class ParityPrime:
             raise ValueError("parity primes require n >= 2t")
         if not 1 <= self.level <= self.t:
             raise ValueError(f"level {self.level} out of range [1, {self.t}]")
-        expected = self.n - 2 * self.t + 2 * self.level
-        if len(idx) != expected:
-            raise ValueError(f"expected {expected} indices, got {len(idx)}")
-        if any(a >= b for a, b in zip(idx, idx[1:])):
-            raise ValueError("indices must be strictly increasing")
-        if idx and idx[-1] > self.n:
-            raise ValueError(f"index {idx[-1]} exceeds n={self.n}")
-        for j, i in enumerate(idx, start=1):
-            if (i - j) % 2 != 0:
-                raise ValueError(f"index {i} at position {j} violates the parity rule")
+        if _parity_level(self.n, self.t, idx) != self.level:
+            raise ValueError(f"{idx} is not a level-{self.level} parity list for n={self.n}")
 
     def to_var_prime(self) -> VarPrime:
         return VarPrime(self.n, self.indices)
+
+
+def _parity_level(n: int, t: int, indices: tuple[int, ...]) -> Optional[int]:
+    """The level of a parity index list, or None when `indices` breaks the rule.
+
+    The rule: i_1 < ... < i_L in [n] with i_j = j (mod 2) and
+    L = n - 2t + 2*level for some level >= 1.
+    """
+    level, odd = divmod(len(indices) - (n - 2 * t), 2)
+    bounds = (0, *indices, n + 1)
+    increasing = all(a < b for a, b in zip(bounds, bounds[1:]))
+    parity = all((i - j) % 2 == 0 for j, i in enumerate(indices, start=1))
+    return level if level >= 1 and not odd and increasing and parity else None
 
 
 def _parity_index_lists(n: int, length: int) -> list[tuple[int, ...]]:
@@ -84,7 +90,7 @@ def enumerate_parity_primes(n: int, t: int, level: int) -> tuple[ParityPrime, ..
         raise ValueError("n and t must be positive")
     if not 1 <= level <= t:
         raise ValueError(f"level {level} out of range [1, {t}]")
-    if n < 2 * t or (n == 2 * t and level != 1):
+    if n < 2 * t or level > predicted_astab(n, t):
         raise ValueError("parity primes are enumerated for n > 2t, or n = 2t with level 1")
     length = n - 2 * t + 2 * level
     return tuple(
@@ -97,16 +103,14 @@ def predicted_ass(n: int, t: int, k: int) -> tuple[VarPrime, ...]:
 
     One rule covers every nonzero regime: the primes on index lists
     i_1 < ... < i_L in [n] with i_j = j (mod 2) and L = n - 2t + 2*level, for
-    every level from 1 to min(t, k) when n > 2t and level 1 otherwise.  So
-    t = 1 gives the maximal prime, n = 2t - 1 the odd singletons and n = 2t
-    the (odd, even) pairs.  Output is sorted by prime size (equivalently
-    level), then lexicographically.
+    every level from 1 to min(predicted_astab(n, t), k).  So t = 1 gives the
+    maximal prime, n = 2t - 1 the odd singletons and n = 2t the (odd, even)
+    pairs.  Output is sorted by prime size (equivalently level), then
+    lexicographically.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if classify(n, t) is PathCase.ZERO:
-        raise ZeroIdealError(n, t)
-    top = min(t, k) if n > 2 * t else 1
+    top = min(predicted_astab(n, t), k)
     primes = [
         VarPrime(n, idx)
         for level in range(1, top + 1)
@@ -157,21 +161,16 @@ def predicted_decomposition_2t(t: int, k: int) -> PredictedDecomposition:
     return PredictedDecomposition(tuple(sorted(components, key=lambda c: c.sort_key)))
 
 
-def _complement_monomial(n: int, vars_in_prime: tuple[int, ...]) -> Monomial:
-    inside = set(vars_in_prime)
-    return Monomial.from_support([v for v in range(1, n + 1) if v not in inside], n)
-
-
 def witness_monomial(n: int, t: int, k: int, prime: VarPrime) -> Monomial:
     """Construct the monomial u with I^k : u equal to `prime` and u outside I^k.
 
-    The prime is a parity prime (see `predicted_ass`) of some level L <= k.
-    With A the complement of its index set and x^A the squarefree monomial
-    on A:
+    The prime must be a parity prime (see `predicted_ass`) on n variables of
+    some level L <= min(predicted_astab(n, t), k).  With A the complement of
+    its index set i_1 < i_2 < ... and x^A the squarefree monomial on A:
 
     * n = 2t - 1 (prime <x_j>): u is the k-th power of the odd-index product,
       divided by x_j.
-    * level 1 otherwise: u = (x_i1 * x^A)^(k-1) * x^A.  This covers t = 1,
+    * level 1 otherwise: u = (x_{i_1} * x^A)^(k-1) * x^A.  This covers t = 1,
       where A is empty and u = x1^(k-1), and n = 2t, where every prime has
       level 1.
     * level L >= 2 (so n > 2t): with blocks built from the odd-position
@@ -180,37 +179,26 @@ def witness_monomial(n: int, t: int, k: int, prime: VarPrime) -> Monomial:
           tail    = x_{i_1} x_{i_3} ... x_{i_{2L-3}},
       u = (x^A * block_1)^(k-L+1) * prod_{j=2}^{L-1} (x^A * block_j) * (x^A * tail).
     """
-    predicted = predicted_ass(n, t, k)
-    level = (len(prime.vars) - (n - 2 * t)) // 2
-    if n > 2 * t and level > k:
-        raise ValueError(
-            f"prime of level {level} is not associated to the {k}-th power"
-        )
-    if prime not in predicted:
+    if k < 1:
+        raise ValueError("k must be positive")
+    astab = predicted_astab(n, t)  # raises for a zero ideal before the prime is read
+    level = _parity_level(n, t, prime.vars) if prime.nvars == n else None
+    if level is None or level > astab:
         raise ValueError(f"{prime} is not a predicted associated prime for n={n}, t={t}, k={k}")
+    if level > k:
+        raise ValueError(f"prime of level {level} is not associated to the {k}-th power")
 
     if n == 2 * t - 1:
-        (j,) = prime.vars
-        exps = [0] * n
-        for i in range(1, n + 1, 2):
-            exps[i - 1] = k
-        exps[j - 1] = k - 1
+        exps = [k if i % 2 else 0 for i in range(1, n + 1)]
+        exps[prime.vars[0] - 1] = k - 1
         return Monomial(exps)
 
-    xa = _complement_monomial(n, prime.vars)
+    # the product above, exponent by exponent
+    exps = [0 if i in prime.vars else k for i in range(1, n + 1)]
     if level == 1:
-        i1 = prime.vars[0]
-        return Monomial.variable(i1, n).mul(xa).power(k - 1).mul(xa)
-
-    # odd-position entries i_1, i_3, ..., i_{2L+1} (1-based positions)
-    odd_entries = [prime.vars[pos - 1] for pos in range(1, 2 * level + 2, 2)]
-    odd_product = Monomial.from_support(odd_entries, n)
-    blocks = [
-        odd_product.quotient(Monomial.variable(prime.vars[2 * j - 2], n))
-        for j in range(1, level)
-    ]
-    tail = Monomial.from_support(odd_entries[: level - 1], n)
-    u = xa.mul(blocks[0]).power(k - level + 1)
-    for block in blocks[1:]:
-        u = u.mul(xa.mul(block))
-    return u.mul(xa.mul(tail))
+        exps[prime.vars[0] - 1] = k - 1
+    else:
+        exps[prime.vars[0] - 1] = level - 1
+        for i in prime.vars[2 : 2 * level + 1 : 2]:
+            exps[i - 1] = k - 1
+    return Monomial(exps)

@@ -122,8 +122,8 @@ def generator_2t(t: int, i: int) -> Monomial:
 
 def complement_components(n: int, prime: VarPrime) -> list[int]:
     """Sizes, left to right, of the runs of consecutive vertices missing from prime."""
-    if prime.vars and prime.vars[-1] > n:
-        raise ValueError(f"prime {prime} has variables beyond n={n}")
+    if prime.nvars != n:
+        raise ValueError(f"prime {prime} lives on {prime.nvars} variables, not n={n}")
     in_prime = set(prime.vars)
     sizes: list[int] = []
     run = 0
@@ -165,8 +165,8 @@ def parity_complement_checks(n: int, t: int, prime: VarPrime, level: int) -> Com
         raise ValueError("n and t must be positive")
     if not 1 <= level <= t:
         raise ValueError(f"level {level} out of range [1, {t}]")
-    if prime.vars[-1] > n:
-        raise ValueError(f"prime {prime} has variables beyond n={n}")
+    if prime.nvars != n:
+        raise ValueError(f"prime {prime} lives on {prime.nvars} variables, not n={n}")
 
     b = prime.vars
     b_set = set(b)

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's own algorithms: membership
 is raw divisibility over generator lists, minimization is the naive quadratic
 pass, equality is exhaustive membership agreement on a finite exponent box,
-and witness primes come from enumerating all bounded colon quotients.
+witness primes come from enumerating all bounded colon quotients, and
+witness monomials are built as the paper's products of monomials.
 """
 
 from __future__ import annotations
@@ -106,3 +107,32 @@ def random_ideal(rng: Random, nvars: int, max_gens: int, max_exp: int) -> Monomi
             exps[rng.randrange(nvars)] = 1
         gens.append(Monomial(exps))
     return MonomialIdeal(nvars, gens)
+
+
+def paper_witness(n: int, t: int, k: int, prime: VarPrime) -> Monomial:
+    """The witness for a predicted prime of I(n, t)^k, as the paper's product.
+
+    With A the complement of the prime's indices i_1 < i_2 < ... and L its
+    level: for n = 2t - 1 the odd-index product to the k-th, divided by the
+    prime's variable; at level 1, (x_{i_1} x^A)^(k-1) x^A; at level L >= 2,
+    (x^A b_1)^(k-L+1) * prod_{j=2}^{L-1} (x^A b_j) * (x^A tail), where b_j is
+    the product of x_{i_1}, x_{i_3}, ..., x_{i_{2L+1}} without x_{i_{2j-1}}
+    and tail is x_{i_1} x_{i_3} ... x_{i_{2L-3}}.
+    """
+    if n == 2 * t - 1:
+        odd = Monomial.from_support(range(1, n + 1, 2), n)
+        return odd.power(k).quotient(Monomial.variable(prime.vars[0], n))
+    xa = Monomial.from_support([v for v in range(1, n + 1) if v not in prime.vars], n)
+    level = (len(prime.vars) - (n - 2 * t)) // 2
+    if level == 1:
+        return Monomial.variable(prime.vars[0], n).mul(xa).power(k - 1).mul(xa)
+    odd_entries = [prime.vars[pos - 1] for pos in range(1, 2 * level + 2, 2)]
+    odd_product = Monomial.from_support(odd_entries, n)
+    blocks = [
+        odd_product.quotient(Monomial.variable(odd_entries[j - 1], n)) for j in range(1, level)
+    ]
+    tail = Monomial.from_support(odd_entries[: level - 1], n)
+    u = xa.mul(blocks[0]).power(k - level + 1)
+    for block in blocks[1:]:
+        u = u.mul(xa.mul(block))
+    return u.mul(xa.mul(tail))

@@ -22,6 +22,9 @@ from pathideal import (
     verify_witness,
     witness_monomial,
 )
+from pathideal.closedform import _parity_level
+
+from helpers import paper_witness
 
 
 def brute_parity_tuples(n, length):
@@ -42,6 +45,12 @@ class TestParityPrime:
         with pytest.raises(ValueError):
             ParityPrime(5, 2, 3, (1, 2, 3, 4, 5, 6, 7))  # level beyond t
 
+    @pytest.mark.parametrize("n, indices", [(2, (-1, 0)), (3, (-1, 0, 1))])
+    def test_rejects_indices_below_one(self, n, indices):
+        # the parity rule holds on these lists; only the range [1, n] fails
+        with pytest.raises(ValueError):
+            ParityPrime(n, 1, 1, indices)
+
     def test_complement_runs_are_even(self):
         for t in (2, 3):
             for n in range(2 * t, 11):
@@ -51,6 +60,18 @@ class TestParityPrime:
                     for p in enumerate_parity_primes(n, t, level):
                         runs = complement_components(n, p.to_var_prime())
                         assert all(s % 2 == 0 for s in runs)
+
+
+class TestParityLevel:
+    def test_matches_brute_filter(self):
+        for t in range(1, 6):
+            for n in range(1, 11):
+                for length in range(n + 1):
+                    level, odd = divmod(length - (n - 2 * t), 2)
+                    parity_lists = set(brute_parity_tuples(n, length))
+                    for combo in combinations(range(1, n + 1), length):
+                        expected = level if combo in parity_lists and not odd and level >= 1 else None
+                        assert _parity_level(n, t, combo) == expected, (n, t, combo)
 
 
 class TestEnumerateParityPrimes:
@@ -227,6 +248,20 @@ class TestWitnessMonomial:
     )
     def test_level_one_formula_covers_t1_and_even_case(self, n, t, k, indices, text):
         assert witness_monomial(n, t, k, VarPrime(n, indices)).text() == text
+
+    def test_matches_paper_product(self):
+        for t in range(1, 7):
+            for n in range(2 * t - 1, 13):
+                for k in range(1, 6):
+                    for prime in predicted_ass(n, t, k):
+                        assert witness_monomial(n, t, k, prime) == paper_witness(n, t, k, prime), (
+                            n, t, k, prime.vars
+                        )
+
+    def test_rejects_prime_from_another_ring(self):
+        # read on n = 5 by its length alone, this prime would have level 3 > t
+        with pytest.raises(ValueError, match="is not a predicted associated prime"):
+            witness_monomial(5, 2, 1, VarPrime(8, tuple(range(1, 9))))
 
     def test_rejects_unpredicted_prime(self):
         with pytest.raises(ValueError):

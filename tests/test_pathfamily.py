@@ -134,6 +134,10 @@ class TestComplementComponents:
         with pytest.raises(ValueError):
             complement_components(3, VarPrime(5, (1, 5)))
 
+    def test_prime_from_another_ring(self):
+        with pytest.raises(ValueError):
+            complement_components(5, VarPrime(8, (1, 2)))
+
 
 class TestParityComplementChecks:
     def test_level_one_triple(self):
@@ -153,3 +157,7 @@ class TestParityComplementChecks:
             parity_complement_checks(4, 2, VarPrime(6, (1, 6)), 1)
         with pytest.raises(ValueError):
             parity_complement_checks(6, 2, VarPrime(6, (1, 2)), 3)
+
+    def test_prime_from_another_ring(self):
+        with pytest.raises(ValueError):
+            parity_complement_checks(5, 2, VarPrime(9, (1, 2, 3)), 1)

@@ -344,6 +344,18 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["components"] == [["x1", "x2"], ["x1", "x4"], ["x3", "x4"]]
 
+    def test_decompose_skipped_power(self, monkeypatch, capsys):
+        # building the power runs under the cell budget; SKIPPED is not a failure
+        deadlines = skip_power(monkeypatch, 2)
+        assert main(["decompose", "--n", "4", "--t", "2", "--k", "2"]) == 0
+        assert capsys.readouterr().out == (
+            "irreducible components of power 2: SKIPPED (cell budget of 60 s exceeded)\n"
+        )
+        assert main(["decompose", "--n", "4", "--t", "2", "--k", "2", "--format", "structured"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {"n": 4, "t": 2, "k": 2, "case": "CASE_2T", "count": None, "components": None}
+        assert len(deadlines) == 2 and None not in deadlines
+
     def test_ass_pass_exit_zero(self, capsys):
         assert main(["ass", "--n", "5", "--t", "2", "--k", "2"]) == 0
         assert "PASS" in capsys.readouterr().out
