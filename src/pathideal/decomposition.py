@@ -39,12 +39,11 @@ from bisect import bisect_left, insort
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
 from typing import Optional, Sequence
 
 # DeadlineExceeded and the packed layout are re-exported for existing importers.
 from .ideal import _FIELD, _W, DeadlineExceeded, MonomialIdeal, _guards, _pack, _unpack
-from .monomial import EXPONENT_CAP, Monomial, exponent_text
+from .monomial import EXPONENT_CAP, ExponentOverflow, Monomial, exponent_text
 
 DEFAULT_CACHE_SIZE = 1 << 16
 
@@ -81,7 +80,8 @@ class VarPrime:
         return (len(self.vars), self.vars)
 
     def as_ideal(self) -> MonomialIdeal:
-        return MonomialIdeal(self.nvars, (Monomial.variable(i, self.nvars) for i in self.vars))
+        # distinct variables are already minimal generators
+        return MonomialIdeal._from_packed(self.nvars, (1 << (i - 1) * _W for i in self.vars))
 
     def __str__(self) -> str:
         return "<" + ",".join(f"x{i}" for i in self.vars) + ">"
@@ -116,8 +116,14 @@ class IrreducibleComponent:
         return VarPrime(self.nvars, self.support())
 
     def as_ideal(self) -> MonomialIdeal:
-        return MonomialIdeal(
-            self.nvars, (Monomial.variable(i, self.nvars, a) for i, a in self.powers)
+        # pure powers of distinct variables are already minimal generators
+        for _, a in self.powers:
+            if not isinstance(a, int):
+                raise ValueError(f"exponents must be non-negative integers, got {a!r}")
+            if a > EXPONENT_CAP:
+                raise ExponentOverflow(f"exponent {a} exceeds cap {EXPONENT_CAP}")
+        return MonomialIdeal._from_packed(
+            self.nvars, (a << (i - 1) * _W for i, a in self.powers)
         )
 
     def gens_text(self) -> list[str]:
@@ -412,26 +418,30 @@ def verify_witness(
 def minimal_primes_squarefree(ideal: MonomialIdeal) -> tuple[VarPrime, ...]:
     """Minimal primes of a squarefree monomial ideal by exhaustive transversal search.
 
-    Independent of the splitting engine: enumerates all variable subsets and
-    keeps the inclusion-minimal ones hitting every generator's support.
+    Independent of the splitting engine: enumerates every nonempty variable
+    subset as a bit mask and keeps the inclusion-minimal ones hitting every
+    generator's support.  A transversal is minimal iff each of its vertices
+    is the only one meeting some support (a private vertex), so one pass over
+    the supports decides both: the subset is a transversal when every meet is
+    nonzero, and minimal when the single-vertex meets OR back to the subset.
     """
     if ideal.is_zero:
         raise ValueError("the zero ideal has no minimal primes")
     if not ideal.is_squarefree:
         raise ValueError("minimal_primes_squarefree requires a squarefree ideal")
-    supports = [g.support() for g in ideal.gens]
-    universe = range(1, ideal.nvars + 1)
-
-    def hits_all(subset: frozenset[int]) -> bool:
-        return all(subset & s for s in supports)
-
+    nvars = ideal.nvars
+    supports = [sum(1 << (i - 1) for i in g.support()) for g in ideal.gens]
     found: list[VarPrime] = []
-    for size in range(1, ideal.nvars + 1):
-        for combo in combinations(universe, size):
-            subset = frozenset(combo)
-            if not hits_all(subset):
-                continue
-            if any(hits_all(subset - {v}) for v in combo):
-                continue
-            found.append(VarPrime(ideal.nvars, combo))
+    for subset in range(1, 1 << nvars):
+        private = 0
+        for s in supports:
+            meet = s & subset
+            if not meet:
+                break
+            if meet & (meet - 1) == 0:
+                private |= meet
+        else:
+            if private == subset:
+                vars_ = tuple(i for i in range(1, nvars + 1) if subset >> (i - 1) & 1)
+                found.append(VarPrime(nvars, vars_))
     return tuple(sorted(found, key=lambda p: p.sort_key))

@@ -261,10 +261,18 @@ class MonomialIdeal:
     __pow__ = power
 
     def intersect(self, other: MonomialIdeal) -> MonomialIdeal:
+        """Generated by the pairwise lcms, except that a generator u lying in
+        `other` stands alone: every lcm(u, v) is a multiple of u."""
         self._check_same_ring(other)
-        guards = _guards(self.nvars)
-        lcms = _by_degree(v + _excess(u, v, guards) for u in self._packed for v in other._packed)
-        return MonomialIdeal._from_packed(self.nvars, _minimize_raw(lcms))
+        guards, theirs = _guards(self.nvars), other._packed
+        lcms: list[int] = []
+        for u in self._packed:
+            high = u | guards
+            if any((high - v) & guards == guards for v in theirs):
+                lcms.append(u)
+            else:
+                lcms += [v + _excess(u, v, guards) for v in theirs]
+        return MonomialIdeal._from_packed(self.nvars, _minimize_raw(_by_degree(lcms)))
 
     def colon_monomial(self, u: Monomial) -> MonomialIdeal:
         """I : u, generated by g / gcd(g, u) over the generators g.

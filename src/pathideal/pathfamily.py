@@ -159,10 +159,11 @@ def parity_complement_checks(n: int, t: int, prime: VarPrime, level: int) -> Com
 
     `prime` plays the role of the index set B; its complement A consists of
     the remaining path vertices.  All three checks are brute force over the
-    relevant finite sets.
+    relevant finite sets.  A cell whose ideal is zero (n < 2t - 1) raises
+    ZeroIdealError: every check would pass vacuously there.
     """
-    if n < 1 or t < 1:
-        raise ValueError("n and t must be positive")
+    if classify(n, t) is PathCase.ZERO:
+        raise ZeroIdealError(n, t)
     if not 1 <= level <= t:
         raise ValueError(f"level {level} out of range [1, {t}]")
     if prime.nvars != n:

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's own algorithms: membership
 is raw divisibility over generator lists, minimization is the naive quadratic
 pass, equality is exhaustive membership agreement on a finite exponent box,
-witness primes come from enumerating all bounded colon quotients, and
-witness monomials are built as the paper's products of monomials.
+witness primes come from enumerating all bounded colon quotients, minimal
+primes of a squarefree ideal come from a set-based drop-one-vertex search,
+and witness monomials are built as the paper's products of monomials.
 """
 
 from __future__ import annotations
@@ -89,6 +90,24 @@ def brute_witness_primes(ideal: MonomialIdeal, k: int, bound: int):
             )
             primes.add(VarPrime(nvars, vars_))
     return primes
+
+
+def naive_minimal_transversals(ideal: MonomialIdeal) -> tuple[VarPrime, ...]:
+    """Minimal primes of a squarefree ideal: every variable subset, as a set,
+    that meets every generator's support while no one-vertex-smaller subset does."""
+    supports = [g.support() for g in ideal.gens]
+    universe = range(1, ideal.nvars + 1)
+
+    def hits_all(subset):
+        return all(subset & s for s in supports)
+
+    found = []
+    for size in range(1, ideal.nvars + 1):
+        for combo in combinations(universe, size):
+            subset = frozenset(combo)
+            if hits_all(subset) and not any(hits_all(subset - {v}) for v in combo):
+                found.append(VarPrime(ideal.nvars, combo))
+    return tuple(sorted(found, key=lambda p: p.sort_key))
 
 
 def random_squarefree_ideal(rng: Random, nvars: int, max_gens: int) -> MonomialIdeal:

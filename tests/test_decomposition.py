@@ -7,7 +7,7 @@ import tracemalloc
 from random import Random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pathideal import (
@@ -36,9 +36,14 @@ from pathideal.decomposition import (
     _prune,
     _split,
 )
-from pathideal.monomial import EXPONENT_CAP
+from pathideal.monomial import EXPONENT_CAP, ExponentOverflow
 
-from helpers import brute_witness_primes, random_ideal, random_squarefree_ideal
+from helpers import (
+    brute_witness_primes,
+    naive_minimal_transversals,
+    random_ideal,
+    random_squarefree_ideal,
+)
 
 
 def comp(nvars, **powers):
@@ -333,6 +338,50 @@ class TestMinimalPrimes:
     def test_rejects_non_squarefree(self):
         with pytest.raises(ValueError):
             minimal_primes_squarefree(MonomialIdeal(2, [Monomial((2, 0))]))
+
+    def test_rejects_zero_ideal(self):
+        with pytest.raises(ValueError):
+            minimal_primes_squarefree(MonomialIdeal.zero(3))
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.integers(1, 9).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(0, 1), min_size=n, max_size=n).filter(any),
+                min_size=1,
+                max_size=14,
+            ).map(lambda rows: MonomialIdeal(n, [Monomial(r) for r in rows]))
+        )
+    )
+    @example(MonomialIdeal(1, [Monomial((1,))]))
+    def test_matches_naive_transversals(self, I):
+        assert minimal_primes_squarefree(I) == naive_minimal_transversals(I)
+
+
+class TestAsIdeal:
+    @settings(deadline=None, max_examples=80)
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda n: st.dictionaries(
+                st.integers(1, n), st.sampled_from([1, 2, 5, EXPONENT_CAP]), min_size=1
+            ).map(lambda powers: (n, sorted(powers.items())))
+        )
+    )
+    @example((3, [(1, EXPONENT_CAP), (3, EXPONENT_CAP)]))
+    def test_built_from_variable_powers(self, case):
+        n, powers = case
+        component = IrreducibleComponent(n, tuple(powers))
+        assert component.as_ideal() == MonomialIdeal(
+            n, [Monomial.variable(i, n, a) for i, a in powers]
+        )
+        prime = component.radical_prime()
+        assert prime.as_ideal() == MonomialIdeal(
+            n, [Monomial.variable(i, n) for i in prime.vars]
+        )
+
+    def test_power_past_cap_rejected(self):
+        with pytest.raises(ExponentOverflow):
+            IrreducibleComponent(2, ((1, EXPONENT_CAP + 1),)).as_ideal()
 
 
 class TestWitness:

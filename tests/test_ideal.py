@@ -203,6 +203,28 @@ class TestIntersect:
                     naive_member(gi, exps) and naive_member(gj, exps)
                 )
 
+    def test_zero_ideal_either_side(self):
+        I, zero = ideal(3, "x1*x2", "x3^2"), MonomialIdeal.zero(3)
+        assert I.intersect(zero) == zero
+        assert zero.intersect(I) == zero
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.data())
+    def test_matches_pairwise_lcms(self, data):
+        n = data.draw(st.integers(1, 5))
+        row = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any)
+        rows_i = data.draw(st.lists(row, max_size=5))
+        rows_j = data.draw(st.lists(row, max_size=5))
+        # multiples of I's generators: generators of J that lie in I
+        for u in data.draw(st.lists(st.sampled_from(rows_i), max_size=3)) if rows_i else []:
+            extra = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+            rows_j.append([a + b for a, b in zip(u, extra)])
+        I = MonomialIdeal(n, [Monomial(r) for r in rows_i])
+        J = MonomialIdeal(n, [Monomial(r) for r in rows_j])
+        for (a, rows_a), (b, rows_b) in (((I, rows_i), (J, rows_j)), ((J, rows_j), (I, rows_i))):
+            lcms = [tuple(map(max, u, v)) for u in rows_a for v in rows_b]
+            assert sorted(g.exponents for g in a.intersect(b).gens) == naive_minimize(lcms)
+
 
 class TestColon:
     def test_path_ideal_by_monomial(self):

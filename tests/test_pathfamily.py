@@ -9,6 +9,7 @@ from pathideal import (
     PathCase,
     PathFamilyParams,
     VarPrime,
+    ZeroIdealError,
     classify,
     complement_components,
     generator_2t,
@@ -161,3 +162,8 @@ class TestParityComplementChecks:
     def test_prime_from_another_ring(self):
         with pytest.raises(ValueError):
             parity_complement_checks(5, 2, VarPrime(9, (1, 2, 3)), 1)
+
+    def test_zero_ideal_cell_rejected(self):
+        with pytest.raises(ZeroIdealError) as info:
+            parity_complement_checks(4, 3, VarPrime(4, (1, 2, 3, 4)), 3)
+        assert (info.value.n, info.value.t) == (4, 3)
