@@ -1,41 +1,47 @@
-"""Irreducible decomposition of monomial ideals by recursive splitting.
+"""Irreducible decomposition of monomial ideals by adding one generator at a time.
 
 The public functions take and return MonomialIdeal, Monomial and
-IrreducibleComponent objects.  The recursion between them runs on the packed
-integers of `ideal` (see its module docstring for the layout): the ideal's
-packed generators are read as they are, and the components are built once
-at the end.
+IrreducibleComponent objects.  The kernel runs on the packed integers of
+`ideal` (see its module docstring for the layout): the ideal's packed
+generators are read as they are, and the components are built once at the
+end.
 
-A node of the splitting tree is nvars followed by its minimal generators,
-packed, in canonical order (degree, then canonical text).  The splitting rule
-is deterministic: take the first generator g whose support has at least two
-variables, peel off its smallest variable x_i^a, and recurse on
-node + <x_i^a> and node + <g / x_i^a>, whose intersection is the node.  A
-node whose generators are all pure powers is irreducible.  Results are
-memoized per node in a bounded LRU cache keyed on the node tuple, whose
-leading nvars keeps ideals on different variable counts apart; a call
-without a cache memoizes in one of its own.  Associated primes are read off
-as the radicals (support sets) of the surviving components.
+Inside the kernel a component is a (support mask, packed vector) pair in
+which an unused variable holds _ABSENT, above every real exponent.  So a
+component q contains a monomial g iff g_i >= q_i for some i, and component
+c contains component d iff c <= d componentwise.
 
-Inside the recursion a component is a (support mask, packed vector) pair in
-which an unused variable holds _ABSENT, above every real exponent, so
-component c contains component d iff c <= d componentwise.  Merging a node's
-two children drops every component that contains another, and keeps an
-exact duplicate once.  This prune is complete: a pure-power component Q
-contains an intersection of others only if it contains one of them (the lcm
-of per-component witnesses outside Q stays outside Q), so what survives is
-irredundant.  Each child's result is already irredundant, so no component
-contains another from its own side and only pairs across the two sides are
-compared.  Among those, c can contain d only if d's support is a subset of
-c's, so components are grouped by support mask and only nested groups are
-compared; within them, the rivals of c are sorted and scanned from c up.
+The start is the zero ideal: one component with no variable.  Monomial
+ideals form a distributive lattice, so (Q_1 & ... & Q_r) + <g> is the
+intersection of the Q_j + <g>; and for a component Q outside which g lies,
+Q + <g> is the intersection of the copies of Q with the x_i entry lowered
+to g_i, one for each i in supp(g).  Each generator in turn keeps the
+components that contain it and replaces the others by their copies.  A
+kept component never contains a new one (it would contain the component
+the new one came from), and no two new components coincide (their sources
+would be comparable, or one would contain g).  So only a new component can
+be redundant, and it is dropped when it contains another live component.
+This is complete: a pure-power component Q contains an intersection of
+others only if it contains one of them (the lcm of per-component witnesses
+outside Q stays outside Q), so what survives is irredundant.  c can contain
+d only if d's support is a subset of c's, so only nested support groups are
+compared; within them, c contains d only if c <= d as integers, so the
+sorted rivals of c are scanned from c up.
+
+The generators are taken in their numeric order, which puts every generator
+on x_1..x_m before any that uses x_{m+1}; for a path ideal the generators of
+I(n, t)^k on x_1..x_{n-1} are exactly I(n-1, t)^k.  A DecompositionCache
+memoizes the decomposition of every such prefix, keyed on its packed
+generators and stored narrowed to its m variables, and a call resumes from
+the longest prefix it finds.  Associated primes are read off as the
+radicals (support sets) of the surviving components.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import reduce
@@ -43,14 +49,13 @@ from typing import Optional, Sequence
 
 # DeadlineExceeded and the packed layout are re-exported for existing importers.
 from .ideal import _FIELD, _W, DeadlineExceeded, MonomialIdeal, _guards, _pack, _unpack
-from .monomial import EXPONENT_CAP, ExponentOverflow, Monomial, exponent_text
+from .monomial import EXPONENT_CAP, ExponentOverflow, Monomial
 
 DEFAULT_CACHE_SIZE = 1 << 16
 
-# Kernel data (see the module docstring): a node is nvars followed by its
-# packed minimal generators in canonical order; a component is a
-# (support mask, packed vector) pair.
-_Node = tuple[int, ...]
+# Kernel data (see the module docstring): a prefix is a run of packed minimal
+# generators in numeric order; a component is a (support mask, packed vector) pair.
+_Prefix = tuple[int, ...]
 _Components = tuple[tuple[int, int], ...]
 
 WITNESS_IN_POWER = "u in I^k"
@@ -134,22 +139,28 @@ class IrreducibleComponent:
 
 
 class DecompositionCache:
-    """Bounded, thread-safe LRU memo from splitting-tree nodes to their components.
+    """Bounded, thread-safe LRU memo from generator prefixes to their components.
 
-    The splitting recursion revisits identical subideals heavily; the cap
-    bounds memory on large powers, with least-recently-used eviction.
+    A key is the packed generators of an ideal on x_1..x_m in numeric order,
+    the same in any number of variables; its value is that ideal's components
+    narrowed to m fields.  `irreducible_decomposition` stores one entry per
+    variable its generators reach and resumes from the longest entry it
+    finds, so a shared cache hands the decomposition of I(n-1, t)^k to
+    I(n, t)^k.  `misses` counts the lookups that found nothing, `hits` those
+    that resumed a call; the cap bounds memory, with least-recently-used
+    eviction.
     """
 
     def __init__(self, maxsize: int = DEFAULT_CACHE_SIZE):
         if maxsize < 1:
             raise ValueError("cache size must be positive")
         self.maxsize = maxsize
-        self._data: OrderedDict[_Node, _Components] = OrderedDict()
+        self._data: OrderedDict[_Prefix, _Components] = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
-    def get(self, key: _Node) -> Optional[_Components]:
+    def get(self, key: _Prefix) -> Optional[_Components]:
         with self._lock:
             value = self._data.get(key)
             if value is None:
@@ -159,7 +170,7 @@ class DecompositionCache:
             self.hits += 1
             return value
 
-    def put(self, key: _Node, value: _Components) -> None:
+    def put(self, key: _Prefix, value: _Components) -> None:
         with self._lock:
             self._data[key] = value
             self._data.move_to_end(key)
@@ -175,21 +186,6 @@ class DecompositionCache:
 _ABSENT = EXPONENT_CAP + 1
 
 
-class _SortKeys(dict):
-    """Packed generator -> a key in Monomial.sort_key order, filled on demand: the
-    degree zero-padded to the widest possible degree, then the canonical text."""
-
-    def __init__(self, nvars: int):
-        super().__init__()
-        self.nvars = nvars
-        self.width = len(str(nvars * EXPONENT_CAP))
-
-    def __missing__(self, m: int) -> str:
-        exponents = _unpack(m, self.nvars)
-        key = self[m] = f"{sum(exponents):0{self.width}d}{exponent_text(exponents)}"
-        return key
-
-
 def intersect_components(
     components: Sequence[IrreducibleComponent], nvars: int
 ) -> MonomialIdeal:
@@ -201,100 +197,48 @@ def intersect_components(
     return reduce(lambda a, b: a.intersect(b), ideals)
 
 
-def _split(node: _Node, guards: int, order: _SortKeys) -> Optional[tuple[_Node, _Node]]:
-    """The two children of a node, or None when every generator is a pure power.
+def _add_generator(components: list, g: int, guards: int) -> list:
+    """The irredundant components of (the intersection of `components`) + <g>.
 
-    The pivot g is the first generator in canonical order with at least two
-    variables; with x_i its smallest variable and a its exponent there, the
-    children are node + <x_i^a> and node + <g / x_i^a>.  Neither new
-    generator lies in the node: a generator dividing it would divide g,
-    against minimality.  So a child is the node without the generators the
-    new one divides, plus the new one at its canonical place.
+    `components` must be irredundant (the module docstring gives the rule and
+    why it keeps that so).  The kept pairs are the input objects.
     """
-    gens = node[1:]
-    for g in gens:
-        low = (g & -g).bit_length() - 1
+    lowered = []  # (support bit, mask clearing the field, g's field) per variable of g
+    rest = g
+    while rest:
+        low = (rest & -rest).bit_length() - 1
         field = _FIELD << (low - low % _W)
-        power = g & field
-        rest = g - power
-        if rest:
-            break
-    else:
-        return None
-    nvars = node[0]
-    return (
-        _insert_generator(nvars, [h for h in gens if h & field < power], power, order),
-        _insert_generator(
-            nvars, [h for h in gens if ((h | guards) - rest) & guards != guards], rest, order
-        ),
-    )
-
-
-def _insert_generator(nvars: int, kept: list, m: int, order: _SortKeys) -> _Node:
-    """The node of kept + [m] in canonical order."""
-    insort(kept, m, key=order.__getitem__)
-    return (nvars, *kept)
-
-
-def _leaf(node: _Node) -> _Components:
-    """The component of a node whose generators are all pure powers."""
-    nvars = node[0]
-    mask = 0
-    vector = _pack((_ABSENT,) * nvars)
-    for g in node[1:]:
-        j = (g.bit_length() - 1) // _W
-        mask |= 1 << j
-        vector += g - (_ABSENT << (j * _W))
-    return ((mask, vector),)
-
-
-def _groups(components) -> tuple[dict[int, list], dict[int, list]]:
-    """The components, and their packed vectors alone, grouped by support mask."""
-    pairs: dict[int, list] = {}
-    vectors: dict[int, list] = {}
+        lowered.append((1 << low // _W, ~field, g & field))
+        rest &= ~field
+    high = g | guards
+    kept = []
+    fresh = []
     for pair in components:
-        mask = pair[0]
-        if mask in pairs:
-            pairs[mask].append(pair)
-            vectors[mask].append(pair[1])
+        mask, q = pair
+        if (high - q) & guards:
+            kept.append(pair)
         else:
-            pairs[mask] = [pair]
-            vectors[mask] = [pair[1]]
-    return pairs, vectors
+            fresh += [(mask | bit, q & clear | value) for bit, clear, value in lowered]
+    groups: dict[int, list] = {}
+    for mask, v in kept + fresh:
+        groups.setdefault(mask, []).append(v)
+    rivals: dict[int, list] = {}
+    for pair in fresh:
+        mask, c = pair
+        if mask not in rivals:
+            rivals[mask] = sorted(v for m, vs in groups.items() if m & mask == m for v in vs)
+        ds = rivals[mask]
+        for d in ds[bisect_right(ds, c) :]:
+            if ((d | guards) - c) & guards == guards:
+                break
+        else:
+            kept.append(pair)
+    return kept
 
 
-def _prune(left: _Components, right: _Components, guards: int) -> _Components:
-    """The irredundant union of two irredundant decompositions.
-
-    Each side is an antichain under containment, so only cross pairs can be
-    redundant, and a component that contains another is dropped.  An exact
-    duplicate is kept once.  A component contains another only if the
-    other's support is a subset of its own, so only such support groups are
-    compared; and c contains d only if c <= d as integers, so the scan over
-    the sorted rivals starts at c.  The kept pairs are the input objects.
-    """
-    seen = set(left)
-    left_pairs, left_vectors = _groups(left)
-    right_pairs, right_vectors = _groups(d for d in right if d not in seen)
-    kept: list = []
-    for ours, theirs in ((left_pairs, right_vectors), (right_pairs, left_vectors)):
-        for mask, pairs in ours.items():
-            rivals: list = []
-            for m, ds in theirs.items():
-                if m & mask == m:
-                    rivals += ds
-            if not rivals:
-                kept += pairs
-                continue
-            rivals.sort()
-            for pair in pairs:
-                c = pair[1]
-                for d in rivals[bisect_left(rivals, c) :]:
-                    if ((d | guards) - c) & guards == guards:
-                        break
-                else:
-                    kept.append(pair)
-    return tuple(kept)
+def _top(m: int) -> int:
+    """The number of the highest variable of a packed monomial."""
+    return (m.bit_length() - 1) // _W + 1
 
 
 def irreducible_decomposition(
@@ -306,64 +250,45 @@ def irreducible_decomposition(
     """Irredundant irreducible decomposition of a nonzero monomial ideal.
 
     Deterministic: independent of cache state and thread count.  Without
-    `cache` the memo lives for this call only; pass one DecompositionCache to
-    share work across calls.  `deadline` is an optional time.monotonic()
-    timestamp; crossing it raises DeadlineExceeded.
+    `cache` nothing is memoized; pass one DecompositionCache to share the
+    decompositions of generator prefixes across calls (see its docstring).
+    `deadline` is an optional time.monotonic() timestamp, checked once per
+    generator; crossing it raises DeadlineExceeded.
     """
     if ideal.is_zero:
         raise ValueError("the zero ideal has no irreducible decomposition")
-    if cache is None:
-        cache = DecompositionCache()
     nvars = ideal.nvars
     guards = _guards(nvars)
-    order = _SortKeys(nvars)
-    for m in ideal._packed:
-        # fills the canonical keys under the deadline: a large power's take seconds
+    packed = ideal._packed
+    start = 0
+    components = [(0, _pack((_ABSENT,) * nvars))]
+    cuts: set[int] = set()
+    if cache is not None:
+        # packed[:i] at a cut holds the generators on x_1..x_m (numeric order puts
+        # them first); the last cut ends the ideal
+        cuts = {bisect_left(packed, 1 << m * _W) for m in range(1, nvars)} - {0} | {len(packed)}
+        for i in sorted(cuts, reverse=True):
+            stored = cache.get(packed[:i])
+            if stored is not None:
+                m = _top(packed[i - 1])
+                fill = _pack((0,) * m + (_ABSENT,) * (nvars - m))
+                start, components = i, [(mask, v + fill) for mask, v in stored]
+                break
+    for i in range(start, len(packed)):
         if deadline is not None and time.monotonic() > deadline:
             raise DeadlineExceeded("decomposition exceeded its time budget")
-        order[m]
-    root = (nvars, *sorted(ideal._packed, key=order.__getitem__))
+        components = _add_generator(components, packed[i], guards)
+        if i + 1 in cuts:
+            narrow = (1 << _top(packed[i]) * _W) - 1
+            cache.put(packed[: i + 1], tuple((mask, v & narrow) for mask, v in components))
 
-    # Iterative post-order over the splitting tree.  Each frame pins its
-    # children's results so LRU eviction can never force recomputation of a
-    # value an in-flight parent still needs.
-    # frame = [node, children (None until expanded), collected child results]
-    root_result: Optional[_Components] = None
-    stack: list[list] = [[root, None, []]]
-    while stack:
-        if deadline is not None and time.monotonic() > deadline:
-            raise DeadlineExceeded("decomposition exceeded its time budget")
-        frame = stack[-1]
-        node, children, results = frame
-        if children is None:
-            value = cache.get(node)
-            if value is None:
-                children = _split(node, guards, order)
-                if children is not None:
-                    frame[1] = children
-                    continue
-                value = _leaf(node)
-                cache.put(node, value)
-        elif len(results) < len(children):
-            stack.append([children[len(results)], None, []])
-            continue
-        else:
-            value = _prune(*results, guards)
-            cache.put(node, value)
-        stack.pop()
-        if stack:
-            stack[-1][2].append(value)
-        else:
-            root_result = value
-
-    assert root_result is not None
-    components = (
+    result = (
         IrreducibleComponent(
             nvars, tuple((j, e) for j, e in enumerate(_unpack(v, nvars), start=1) if e != _ABSENT)
         )
-        for _, v in root_result
+        for _, v in components
     )
-    return tuple(sorted(components, key=lambda c: c.sort_key))
+    return tuple(sorted(result, key=lambda c: c.sort_key))
 
 
 def associated_primes(
@@ -418,7 +343,7 @@ def verify_witness(
 def minimal_primes_squarefree(ideal: MonomialIdeal) -> tuple[VarPrime, ...]:
     """Minimal primes of a squarefree monomial ideal by exhaustive transversal search.
 
-    Independent of the splitting engine: enumerates every nonempty variable
+    Independent of the decomposition kernel: enumerates every nonempty variable
     subset as a bit mask and keeps the inclusion-minimal ones hitting every
     generator's support.  A transversal is minimal iff each of its vertices
     is the only one meeting some support (a private vertex), so one pass over

@@ -24,7 +24,7 @@ from .decomposition import (
     associated_primes,
     verify_witness,
 )
-from .pathfamily import PathCase, classify, ind_ideal
+from .pathfamily import MAX_PATH_VERTICES, PathCase, classify, ind_ideal
 
 METHOD_DECOMPOSITION = "decomposition"
 METHOD_WITNESS = "witness-only"
@@ -149,6 +149,9 @@ def verify_cell(
 
     start = time.monotonic()
     deadline = start + budget_seconds
+    # built first: it rejects n above MAX_PATH_VERTICES, where the prediction
+    # alone could run far past the budget
+    ideal = ind_ideal(n, t)
     predicted = predicted_ass(n, t, k)
     report = VerificationReport(
         n=n,
@@ -161,7 +164,6 @@ def verify_cell(
         one_sided=method == METHOD_WITNESS,
     )
     try:
-        ideal = ind_ideal(n, t)
         power = ideal.power(k, deadline=deadline)
         if method == METHOD_DECOMPOSITION:
             computed = set(associated_primes(power, cache=cache, deadline=deadline))
@@ -322,6 +324,8 @@ def validate_config(config: dict) -> dict:
             or rng[0] > rng[1]
         ):
             raise ConfigError(f"{key} must be [lo, hi] with 1 <= lo <= hi")
+    if merged["n_range"][1] > MAX_PATH_VERTICES:
+        raise ConfigError(f"n_range may not go above the path-vertex cap {MAX_PATH_VERTICES}")
     if merged["method"] not in (METHOD_DECOMPOSITION, METHOD_WITNESS):
         raise ConfigError(f"method must be {METHOD_DECOMPOSITION!r} or {METHOD_WITNESS!r}")
     if not _is_budget(merged["cell_budget_seconds"]):
@@ -423,9 +427,12 @@ def grid_scan(config: dict, *, cache: Optional[DecompositionCache] = None) -> Sc
     Cells run one after another on the calling thread, in (t, n, k) order.
     The `parallelism` key is validated but selects nothing: the cells are
     pure Python under one interpreter lock, so a thread pool only slowed
-    the scan down.
+    the scan down.  Every cell shares `cache`, or one made for the scan, so
+    each power resumes from the decomposition of the power on n - 1 vertices.
     """
     config = validate_config(config)
+    if cache is None:
+        cache = DecompositionCache()
     reports = [
         verify_cell(
             n,

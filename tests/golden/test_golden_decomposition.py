@@ -2,17 +2,11 @@
 
 import json
 
-import pytest
-
 from decomposition_corpus import HASHES, digest, sections
 
 
-@pytest.fixture(scope="module")
-def corpus():
-    return sections()
-
-
-def test_sections_match_recorded_hashes(corpus):
+def test_sections_match_recorded_hashes():
+    corpus = sections()
     stored = json.loads(HASHES.read_text(encoding="utf-8"))
     assert sorted(stored) == sorted(corpus)
     changed = [name for name, lines in corpus.items() if digest(lines) != stored[name]]

@@ -1,4 +1,4 @@
-"""Splitting decomposition, irredundancy, associated primes, and witnesses."""
+"""Incremental decomposition, irredundancy, associated primes, and witnesses."""
 
 import gc
 import sys
@@ -30,11 +30,9 @@ from pathideal.decomposition import (
     WITNESS_IN_POWER,
     DeadlineExceeded,
     _ABSENT,
-    _SortKeys,
+    _add_generator,
     _guards,
     _pack,
-    _prune,
-    _split,
 )
 from pathideal.monomial import EXPONENT_CAP, ExponentOverflow
 
@@ -118,29 +116,42 @@ class TestSplitting:
         tiny = irreducible_decomposition(I, cache=DecompositionCache(maxsize=8))
         assert first == second == tiny
 
-    def test_split_node_counts_pinned(self):
-        # misses are split nodes; the counts are deterministic for a fresh cache
-        for n, t, k, misses, hits, count in [
-            (6, 2, 3, 655, 318, 80),
-            (7, 3, 3, 1866, 685, 97),
-            (7, 3, 4, 6746, 2943, 230),
-        ]:
-            cache = DecompositionCache()
-            comps = irreducible_decomposition(ind_ideal(n, t).power(k), cache=cache)
-            assert (cache.misses, cache.hits, len(comps)) == (misses, hits, count)
+    def test_prefix_memo_counts_pinned(self):
+        # each I(n,2)^3 misses at its own prefix and resumes from I(n-1,2)^3
+        cache = DecompositionCache()
+        counts = []
+        for n in range(3, 9):
+            irreducible_decomposition(ind_ideal(n, 2).power(3), cache=cache)
+            counts.append((cache.misses, cache.hits, len(cache)))
+        assert counts == [(1, 0, 1), (2, 1, 2), (3, 2, 3), (4, 3, 4), (5, 4, 5), (6, 5, 6)]
+        for n, t, k, count in [(6, 2, 3, 80), (7, 3, 3, 97), (7, 3, 4, 230)]:
+            assert len(irreducible_decomposition(ind_ideal(n, t).power(k))) == count
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_sort_keys_order_like_monomials(self, data):
-        # the padded degree keeps degree 9 before degree 10 in one string key
-        nvars = data.draw(st.integers(1, 6))
-        exponents = st.one_of(st.integers(0, 12), st.just(EXPONENT_CAP))
-        vecs = data.draw(
-            st.lists(st.tuples(*[exponents] * nvars), min_size=2, max_size=20, unique=True)
-        )
-        by_key = sorted(map(_pack, vecs), key=_SortKeys(nvars).__getitem__)
-        by_monomial = sorted(vecs, key=lambda v: Monomial(v).sort_key)
-        assert by_key == [_pack(v) for v in by_monomial]
+    def test_prefix_reuse_matches_fresh_calls(self):
+        # ascending n, as a scan runs: each power resumes from the one on n - 1 vertices
+        cache = DecompositionCache()
+        for t in (2, 3):
+            for n in range(2 * t - 1, 9):
+                for k in (1, 2, 3):
+                    power = ind_ideal(n, t).power(k)
+                    fresh = irreducible_decomposition(power)
+                    assert irreducible_decomposition(power, cache=cache) == fresh
+        assert cache.hits > 0
+
+    def test_prefix_reuse_across_variable_counts(self):
+        # the copy of an ideal in one more variable stores an entry that leaves
+        # x_{n+1} unused; the ideal itself and an extension by x_{n+1} read it back
+        rng = Random(307)
+        cache = DecompositionCache()
+        for _ in range(60):
+            nvars = rng.randint(1, 5)
+            I = random_ideal(rng, nvars, 6, 3)
+            wider = MonomialIdeal(nvars + 1, [Monomial(g.exponents + (0,)) for g in I.gens])
+            top = [rng.randint(0, 2) for _ in range(nvars)] + [rng.randint(1, 3)]
+            extended = wider + MonomialIdeal(nvars + 1, [Monomial(top)])
+            for J in (wider, I, extended):
+                assert irreducible_decomposition(J, cache=cache) == irreducible_decomposition(J)
+        assert cache.hits >= 120
 
     def test_shared_cache_keeps_variable_counts_apart(self):
         # the packed generators of a 7-variable ideal and its copy in 8 variables agree
@@ -153,7 +164,7 @@ class TestSplitting:
             assert irreducible_decomposition(ideals[i], cache=shared) == fresh[i]
 
     def test_deadline_overshoot_is_bounded(self):
-        # long uninterruptible merges would show as a late DeadlineExceeded
+        # a long step between deadline checks would show as a late DeadlineExceeded
         power = ind_ideal(8, 3).power(4)
         deadline = time.monotonic() + 0.2
         with pytest.raises(DeadlineExceeded):
@@ -161,7 +172,7 @@ class TestSplitting:
         assert time.monotonic() - deadline <= 2.0
 
     def test_past_deadline_stops_before_the_root(self):
-        # the canonical keys of a large power take seconds; they are computed under the deadline
+        # a large power stops at its first generator, before any decomposition work
         power = ind_ideal(13, 4).power(3)
         start = time.monotonic()
         with pytest.raises(DeadlineExceeded):
@@ -223,22 +234,28 @@ class TestIrredundantFilter:
 
 
 class TestPrune:
-    # components in the kernel form, (support mask, packed vector)
+    # one step of the kernel on components in the kernel form, (support mask, packed vector)
     def test_containment_prune(self):
-        # <x1, x2> contains <x1>, from either side
-        x1, x1_x2 = packed(1, _ABSENT), packed(1, 1)
-        assert _prune((x1,), (x1_x2,), _guards(2)) == (x1,)
-        assert _prune((x1_x2,), (x1,), _guards(2)) == (x1,)
-
-    def test_duplicate_kept_once(self):
-        x1, x2, squares = packed(1, _ABSENT), packed(_ABSENT, 1), packed(2, 2)
-        pruned = _prune((x1, x2), (x1, squares), _guards(2))
-        assert sorted(pruned) == sorted([x1, x2, squares])
+        # <x1*x2^2> + <x1*x2>: the new <x1, x2^2> contains the kept <x1>
+        x1, x2_2 = packed(1, _ABSENT), packed(_ABSENT, 2)
+        step = _add_generator([x1, x2_2], _pack((1, 1)), _guards(2))
+        assert sorted(step) == sorted([x1, packed(_ABSENT, 1)])
+        # <x1*x2^3, x2^3*x3^2> + <x2*x3>: the new <x1, x2, x3^2> contains the new <x2>
+        step = _add_generator(
+            [packed(1, _ABSENT, 2), packed(_ABSENT, 3, _ABSENT)], _pack((0, 1, 1)), _guards(3)
+        )
+        expected = [packed(1, _ABSENT, 1), packed(_ABSENT, 1, _ABSENT), packed(_ABSENT, 3, 1)]
+        assert sorted(step) == sorted(expected)
 
     def test_incomparable_supports_kept(self):
-        left = (packed(1, _ABSENT, 2), packed(_ABSENT, 3, _ABSENT))
-        right = (packed(_ABSENT, _ABSENT, 1), packed(2, 4, _ABSENT))
-        assert sorted(_prune(left, right, _guards(3))) == sorted(left + right)
+        zero = packed(_ABSENT, _ABSENT, _ABSENT)
+        step = _add_generator([zero], _pack((2, 0, 1)), _guards(3))
+        assert sorted(step) == sorted([packed(2, _ABSENT, _ABSENT), packed(_ABSENT, _ABSENT, 1)])
+        # <x1*x2> + <x3^2> = <x1, x3^2> & <x2, x3^2>
+        step = _add_generator(
+            [packed(1, _ABSENT, _ABSENT), packed(_ABSENT, 1, _ABSENT)], _pack((0, 0, 2)), _guards(3)
+        )
+        assert sorted(step) == sorted([packed(1, _ABSENT, 2), packed(_ABSENT, 1, 2)])
 
 
 # every field value the kernel stores: a zero exponent, small ones, the cap, absent
@@ -250,36 +267,47 @@ def vectors(draw, fields, nvars):
     return tuple(draw(st.lists(fields, min_size=nvars, max_size=nvars)))
 
 
+def holds(q, g):
+    # the component q contains the monomial g
+    return any(e >= f for e, f in zip(g, q))
+
+
+def step_reference(components, g):
+    # componentwise: keep what contains g, lower one entry of the rest per variable
+    # of g, and drop every candidate that contains another (c contains d iff c <= d)
+    candidates = {q for q in components if holds(q, g)}
+    for q in components:
+        if not holds(q, g):
+            candidates |= {q[:i] + (e,) + q[i + 1 :] for i, e in enumerate(g) if e}
+    return {c for c in candidates if not any(d != c and leq(c, d) for d in candidates)}
+
+
 class TestGuardBits:
-    # the packed tests inside _prune and _split against componentwise <=
+    # the packed tests inside _add_generator against componentwise <=
     def test_layout_has_one_owner(self):
         for name in ("_pack", "_unpack", "_guards", "_W", "_FIELD"):
             assert getattr(decomposition, name) is getattr(ideal, name), name
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
-    def test_containment_matches_componentwise(self, data):
+    def test_membership_matches_componentwise(self, data):
         nvars = data.draw(st.integers(1, 12))
-        c, d = vectors(data.draw, FIELDS, nvars), vectors(data.draw, FIELDS, nvars)
-        kept = _prune((packed(*c),), (packed(*d),), _guards(nvars))
-        # a component c contains d iff c <= d; the container is dropped
-        expected = [c] if c == d else [v for v, w in ((c, d), (d, c)) if not leq(v, w)]
-        assert sorted(kept) == sorted(packed(*v) for v in expected)
+        q, g = vectors(data.draw, FIELDS, nvars), vectors(data.draw, EXPONENTS, nvars)
+        assume(any(g))
+        step = _add_generator([packed(*q)], _pack(g), _guards(nvars))
+        assert sorted(step) == sorted(packed(*v) for v in step_reference([q], g))
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(st.data())
-    def test_divisibility_matches_componentwise(self, data):
-        nvars = data.draw(st.integers(2, 12))
-        g, h = vectors(data.draw, EXPONENTS, nvars), vectors(data.draw, EXPONENTS, nvars)
-        assume(sum(1 for e in g if e) >= 2 and any(h))
-        left, right = _split((nvars, _pack(g), _pack(h)), _guards(nvars), _SortKeys(nvars))
-        # g is the pivot: split at its first variable x_i^a into power * rest
-        i = next(j for j, e in enumerate(g) if e)
-        power = tuple(e if j == i else 0 for j, e in enumerate(g))
-        rest = tuple(0 if j == i else e for j, e in enumerate(g))
-        assert left[0] == right[0] == nvars
-        assert sorted(left[1:]) == sorted(map(_pack, [power] + [h] * (not leq(power, h))))
-        assert sorted(right[1:]) == sorted(map(_pack, [rest] + [h] * (not leq(rest, h))))
+    def test_containment_matches_componentwise(self, data):
+        nvars = data.draw(st.integers(1, 6))
+        drawn = {vectors(data.draw, FIELDS, nvars) for _ in range(data.draw(st.integers(1, 6)))}
+        # the kernel's input is irredundant: no component contains another
+        components = [c for c in drawn if not any(d != c and leq(c, d) for d in drawn)]
+        g = vectors(data.draw, EXPONENTS, nvars)
+        assume(any(g))
+        step = _add_generator([packed(*c) for c in components], _pack(g), _guards(nvars))
+        assert sorted(step) == sorted(packed(*v) for v in step_reference(components, g))
 
 
 class TestAssociatedPrimes:

@@ -116,6 +116,23 @@ class TestVerifyCell:
         with pytest.raises(ValueError, match="budget_seconds"):
             verify_cell(5, 2, 2, budget_seconds=budget)
 
+    @pytest.mark.parametrize(
+        "function, args",
+        [
+            (verify_cell, (60, 20, 20, METHOD_DECOMPOSITION)),
+            (verify_cell, (60, 20, 20, METHOD_WITNESS)),
+            (persistence_scan, (60, 20, 20)),
+            (empirical_astab, (60, 20, 20)),
+        ],
+        ids=["verify_cell", "witness", "persistence_scan", "empirical_astab"],
+    )
+    def test_over_cap_rejected_within_a_second(self, function, args):
+        # the prediction for n = 60 runs for minutes; the cap check comes first
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="exceeds the enumeration cap 24"):
+            function(*args, **({} if function is empirical_astab else {"budget_seconds": 1}))
+        assert time.monotonic() - start < 1.0
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             verify_cell(4, 2, 1, "guesswork")
@@ -242,6 +259,7 @@ class TestConfig:
             {"t_values": [True]},
             {"n_range": [True, 3]},
             {"k_range": [1, True]},
+            {"n_range": [20, 25]},
         ],
     )
     def test_rejects_invalid_values(self, bad):
@@ -255,6 +273,11 @@ class TestConfig:
         path.write_text('{"cell_budget_seconds": %s}' % literal)
         with pytest.raises(ConfigError):
             load_config(str(path))
+
+    def test_over_cap_range_names_the_cap(self):
+        assert validate_config({"n_range": [20, 24]})["n_range"] == [20, 24]
+        with pytest.raises(ConfigError, match="cap 24"):
+            validate_config({"n_range": [20, 26]})
 
     def test_undecodable_file_is_a_config_error(self, tmp_path):
         path = tmp_path / "config.json"
@@ -308,6 +331,20 @@ class TestGridScan:
         )
         assert len(threads) == len(result.reports) == 16
         assert set(threads) == {threading.get_ident()}
+
+    def test_cells_share_one_cache(self, monkeypatch):
+        # without a caller's cache the scan makes one, so each n resumes from n - 1
+        caches = []
+        original = verify.verify_cell
+
+        def recording(*args, cache=None, **kwargs):
+            caches.append(cache)
+            return original(*args, cache=cache, **kwargs)
+
+        monkeypatch.setattr(verify, "verify_cell", recording)
+        grid_scan({"t_values": [2], "n_range": [3, 6], "k_range": [2, 2]})
+        assert len(caches) == 4 and isinstance(caches[0], DecompositionCache)
+        assert all(c is caches[0] for c in caches) and caches[0].hits == 3
 
     def test_default_scan_matches_reference_bytes(self):
         # the sha256 of the two files `pathideal scan --out` writes for the default grid
@@ -410,6 +447,23 @@ class TestCli:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"method": "divination"}))
         assert main(["scan", "--config", str(config), "--out", str(tmp_path / "r.json")]) == 2
+
+    def test_scan_over_cap_config_exits_two_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        cells = []
+        monkeypatch.setattr(verify, "verify_cell", lambda *args, **kwargs: cells.append(args))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n_range": [20, 26]}))
+        assert main(["scan", "--config", str(config), "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err.startswith("config error: n_range may not go above")
+        assert cells == [] and not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("command", ["ass", "persistence", "astab"])
+    def test_over_cap_cell_exits_two_at_once(self, command, capsys):
+        size = "--k" if command == "ass" else "--kmax"
+        start = time.monotonic()
+        assert main([command, "--n", "60", "--t", "20", size, "20"]) == 2
+        assert time.monotonic() - start < 1.0
+        assert "exceeds the enumeration cap 24" in capsys.readouterr().err
 
     def test_scan_undecodable_config_exits_two(self, tmp_path, capsys):
         config = tmp_path / "config.json"
