@@ -6,27 +6,52 @@ IrreducibleComponent objects.  The kernel runs on the packed integers of
 generators are read as they are, and the components are built once at the
 end.
 
-Inside the kernel a component is a (support mask, packed vector) pair in
-which an unused variable holds _ABSENT, above every real exponent.  So a
-component q contains a monomial g iff g_i >= q_i for some i, and component
-c contains component d iff c <= d componentwise.
+Inside the kernel a component is a packed vector in which an unused
+variable holds _ABSENT, above every real exponent, so its support is the set
+of fields below _ABSENT.  A component q contains a monomial g iff
+g_i >= q_i for some i, and component c contains component d iff c <= d
+componentwise.
 
 The start is the zero ideal: one component with no variable.  Monomial
 ideals form a distributive lattice, so (Q_1 & ... & Q_r) + <g> is the
-intersection of the Q_j + <g>; and for a component Q outside which g lies,
-Q + <g> is the intersection of the copies of Q with the x_i entry lowered
-to g_i, one for each i in supp(g).  Each generator in turn keeps the
-components that contain it and replaces the others by their copies.  A
-kept component never contains a new one (it would contain the component
-the new one came from), and no two new components coincide (their sources
-would be comparable, or one would contain g).  So only a new component can
-be redundant, and it is dropped when it contains another live component.
-This is complete: a pure-power component Q contains an intersection of
-others only if it contains one of them (the lcm of per-component witnesses
-outside Q stays outside Q), so what survives is irredundant.  c can contain
-d only if d's support is a subset of c's, so only nested support groups are
-compared; within them, c contains d only if c <= d as integers, so the
-sorted rivals of c are scanned from c up.
+intersection of the Q_j + <g>; and for a component Q that misses g (g lies
+outside Q), Q + <g> is the intersection of the copies of Q with the x_i
+entry lowered to g_i, one for each i in supp(g).  Each generator in turn
+keeps the components that contain it and replaces the others by their
+copies.  A kept component never contains a new one (it would contain the
+component the new one came from), and no two new components coincide
+(their sources would be comparable, or one would contain g).  So only a new
+component can be redundant, and it is dropped when it contains another live
+component.  This is complete: a pure-power component Q contains an
+intersection of others only if it contains one of them (the lcm of
+per-component witnesses outside Q stays outside Q), so what survives is
+irredundant.
+
+Two facts name every live d that the copy c of a missed q lowered at x_i
+can lie below (c <= d, so c is dropped):
+  - a kept d with d_i = g_i and d_j >= q_j for every j != i.  Proof: d
+    contains g, so g_l >= d_l >= c_l for some l; every l != i has
+    c_l = q_l > g_l, so l = i and g_i >= d_i >= c_i = g_i.
+  - the copy lowered at the same x_i of another missed p with p_j >= q_j
+    for every j != i.  Proof: a copy of p lowered at x_l != x_i has
+    d_l = g_l < q_l = c_l.
+Both kinds together are the live d that lie below q in field i alone and
+have d >= m, for m the copy of q lowered at every variable of g: such a d
+is at or above q off i and at or above g on supp(g), so it is of the first
+kind when it contains g and of the second otherwise; and each kind has
+d_i < q_i (the first as g_i < q_i, the second as no other live component
+lies at or above q).  The list step tests every live d so.
+
+A live set wider than _INDEX_WIDTH moves, for the rest of the call, into
+an _Index: every component owns a slot, a bit position, and for each
+variable a dict maps each value of that field to the mask of the slots
+holding it.  The components that miss g are then an AND over supp(g) of the
+ORs of the masks above g's field, and the two kinds of d an AND of masks
+over the fields j != i.  Narrow live sets stay in the list step because the
+index costs a dict per variable and a pass over every field of each missed
+q, more than a plain pass over a few dozen components; past about 64 the
+index is cheaper, and the path cells of a default scan spend most of their
+steps there.
 
 The generators are taken in their numeric order, which puts every generator
 on x_1..x_m before any that uses x_{m+1}; for a path ideal the generators of
@@ -41,7 +66,7 @@ from __future__ import annotations
 
 import threading
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import reduce
@@ -54,9 +79,9 @@ from .monomial import EXPONENT_CAP, ExponentOverflow, Monomial
 DEFAULT_CACHE_SIZE = 1 << 16
 
 # Kernel data (see the module docstring): a prefix is a run of packed minimal
-# generators in numeric order; a component is a (support mask, packed vector) pair.
+# generators in numeric order; a component is a packed vector.
 _Prefix = tuple[int, ...]
-_Components = tuple[tuple[int, int], ...]
+_Components = tuple[int, ...]
 
 WITNESS_IN_POWER = "u in I^k"
 WITNESS_COLON_TOO_BIG = "colon too big"
@@ -142,13 +167,16 @@ class DecompositionCache:
     """Bounded, thread-safe LRU memo from generator prefixes to their components.
 
     A key is the packed generators of an ideal on x_1..x_m in numeric order,
-    the same in any number of variables; its value is that ideal's components
-    narrowed to m fields.  `irreducible_decomposition` stores one entry per
-    variable its generators reach and resumes from the longest entry it
-    finds, so a shared cache hands the decomposition of I(n-1, t)^k to
-    I(n, t)^k.  `misses` counts the lookups that found nothing, `hits` those
-    that resumed a call; the cap bounds memory, with least-recently-used
-    eviction.
+    the same in any number of variables.  Its value is a tuple of that
+    ideal's components as packed kernel vectors (the module docstring has
+    the layout) narrowed to their first m fields, since every later field
+    holds _ABSENT; a call that resumes from it fills those fields back in
+    with _ABSENT for its own number of variables.  `irreducible_decomposition`
+    stores one entry per variable its generators reach and resumes from the
+    longest entry it finds, so a shared cache hands the decomposition of
+    I(n-1, t)^k to I(n, t)^k.  `misses` counts the lookups that found
+    nothing, `hits` those that resumed a call; the cap bounds memory, with
+    least-recently-used eviction.
     """
 
     def __init__(self, maxsize: int = DEFAULT_CACHE_SIZE):
@@ -185,6 +213,9 @@ class DecompositionCache:
 # never exceed EXPONENT_CAP, so it compares above every real exponent.
 _ABSENT = EXPONENT_CAP + 1
 
+# The live width above which a call moves its components into an _Index.
+_INDEX_WIDTH = 64
+
 
 def intersect_components(
     components: Sequence[IrreducibleComponent], nvars: int
@@ -197,43 +228,153 @@ def intersect_components(
     return reduce(lambda a, b: a.intersect(b), ideals)
 
 
-def _add_generator(components: list, g: int, guards: int) -> list:
-    """The irredundant components of (the intersection of `components`) + <g>.
-
-    `components` must be irredundant (the module docstring gives the rule and
-    why it keeps that so).  The kept pairs are the input objects.
-    """
-    lowered = []  # (support bit, mask clearing the field, g's field) per variable of g
+def _lowered(g: int) -> list[tuple[int, int, int]]:
+    """(variable position j, field j's mask, g's field j) for each variable x_{j+1} of g."""
+    out = []
     rest = g
     while rest:
-        low = (rest & -rest).bit_length() - 1
-        field = _FIELD << (low - low % _W)
-        lowered.append((1 << low // _W, ~field, g & field))
+        j = ((rest & -rest).bit_length() - 1) // _W
+        field = _FIELD << j * _W
+        out.append((j, field, g & field))
         rest &= ~field
+    return out
+
+
+def _add_generator(components: list[int], g: int, guards: int) -> list[int]:
+    """The list step: the irredundant components of (the intersection of `components`) + <g>.
+
+    `components` must be irredundant; the module docstring gives the rule.
+    The copy of a missed q lowered at x_i is dropped when some live d has
+    d >= m, for m the copy of q lowered at every variable of g, and lies below
+    q in field i alone.
+    """
+    lowered = _lowered(g)
     high = g | guards
     kept = []
-    fresh = []
-    for pair in components:
-        mask, q = pair
-        if (high - q) & guards:
-            kept.append(pair)
-        else:
-            fresh += [(mask | bit, q & clear | value) for bit, clear, value in lowered]
-    groups: dict[int, list] = {}
-    for mask, v in kept + fresh:
-        groups.setdefault(mask, []).append(v)
-    rivals: dict[int, list] = {}
-    for pair in fresh:
-        mask, c = pair
-        if mask not in rivals:
-            rivals[mask] = sorted(v for m, vs in groups.items() if m & mask == m for v in vs)
-        ds = rivals[mask]
-        for d in ds[bisect_right(ds, c) :]:
-            if ((d | guards) - c) & guards == guards:
-                break
-        else:
-            kept.append(pair)
+    missed = []
+    for q in components:
+        (kept if (high - q) & guards else missed).append(q)
+    if not missed:
+        return kept
+    support = sum(field for _, field, _ in lowered)
+    raised = [d | guards for d in components]
+    for q in missed:
+        m = q & ~support | g
+        dead = 0
+        for d in raised:
+            if (d - m) & guards == guards:
+                below = guards ^ (d - q) & guards
+                if below & (below - 1) == 0:
+                    dead |= below
+        for j, field, value in lowered:
+            if not dead & _FIELD + 1 << j * _W:  # the guard bit of field j
+                kept.append(q & ~field | value)
     return kept
+
+
+class _Index:
+    """The indexed step: the live components of one call, with bitsets of their fields.
+
+    Each component owns a slot, a bit position.  For each variable j,
+    `_by_value[j]` maps every value of field j (isolated in place, _ABSENT
+    included) to the mask of the slots holding it, so the components above
+    or at a value in one field are an OR of masks, and those that satisfy
+    bounds in several fields an AND of such ORs.
+    """
+
+    def __init__(self, components: Sequence[int], nvars: int):
+        self._fields = [_FIELD << j * _W for j in range(nvars)]
+        self._by_value: list[dict[int, int]] = [{} for _ in range(nvars)]
+        self._slots: list[Optional[int]] = []
+        self._free: list[int] = []
+        for v in components:
+            self._insert(v)
+
+    def __iter__(self):
+        return (v for v in self._slots if v is not None)
+
+    def _insert(self, v: int) -> None:
+        if self._free:
+            slot = self._free.pop()
+            self._slots[slot] = v
+        else:
+            slot = len(self._slots)
+            self._slots.append(v)
+        bit = 1 << slot
+        for field, by_value in zip(self._fields, self._by_value):
+            key = v & field
+            by_value[key] = by_value.get(key, 0) | bit
+
+    def _remove(self, slot: int) -> None:
+        v = self._slots[slot]
+        self._slots[slot] = None
+        self._free.append(slot)
+        bit = 1 << slot
+        for field, by_value in zip(self._fields, self._by_value):
+            key = v & field
+            rest = by_value[key] ^ bit
+            if rest:
+                by_value[key] = rest
+            else:
+                del by_value[key]
+
+    def add_generator(self, g: int) -> None:
+        """Replace the live components by those of (their intersection) + <g>; g != 1."""
+        lowered = _lowered(g)
+        fields, by_value, slots = self._fields, self._by_value, self._slots
+        # a component misses g when it lies above g in every field: above g's
+        # field on supp(g) (key > value iff key >= value + 1), and not 0 elsewhere
+        missed = -1
+        for j, _, value in lowered:
+            missed &= _at_least(by_value[j], value + 1)
+            if not missed:
+                return
+        for values in by_value:
+            missed &= ~values.get(0, 0)
+        fresh = []
+        rest = missed
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            q = slots[low.bit_length() - 1]
+            # a copy of q lowered at x_j lies below a kept d with d_j = g_j, or below the
+            # copy of another missed p lowered at x_j, when d or p is >= q off field j
+            at_least = [_at_least(values, q & f) for f, values in zip(fields, by_value)]
+            others = _and_of_others(at_least)
+            rivals = missed ^ low
+            for j, field, value in lowered:
+                if not others[j] & (by_value[j].get(value, 0) | rivals):
+                    fresh.append(q & ~field | value)
+        rest = missed
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            self._remove(low.bit_length() - 1)
+        for c in fresh:
+            self._insert(c)
+
+
+def _at_least(values: dict[int, int], value: int) -> int:
+    """The slots of the masks in `values` whose key is at least `value`."""
+    slots = 0
+    for key, mask in values.items():
+        if key >= value:
+            slots |= mask
+    return slots
+
+
+def _and_of_others(masks: list[int]) -> list[int]:
+    """For each position, the AND of every mask but the one there."""
+    suffix = [-1]
+    for mask in reversed(masks):
+        suffix.append(suffix[-1] & mask)
+    suffix.reverse()
+    out = []
+    prefix = -1
+    for i, mask in enumerate(masks):
+        out.append(prefix & suffix[i + 1])
+        prefix &= mask
+    return out
 
 
 def _top(m: int) -> int:
@@ -261,7 +402,7 @@ def irreducible_decomposition(
     guards = _guards(nvars)
     packed = ideal._packed
     start = 0
-    components = [(0, _pack((_ABSENT,) * nvars))]
+    live: list[int] | _Index = [_pack((_ABSENT,) * nvars)]
     cuts: set[int] = set()
     if cache is not None:
         # packed[:i] at a cut holds the generators on x_1..x_m (numeric order puts
@@ -272,21 +413,26 @@ def irreducible_decomposition(
             if stored is not None:
                 m = _top(packed[i - 1])
                 fill = _pack((0,) * m + (_ABSENT,) * (nvars - m))
-                start, components = i, [(mask, v + fill) for mask, v in stored]
+                start, live = i, [v + fill for v in stored]
                 break
     for i in range(start, len(packed)):
         if deadline is not None and time.monotonic() > deadline:
             raise DeadlineExceeded("decomposition exceeded its time budget")
-        components = _add_generator(components, packed[i], guards)
+        if isinstance(live, _Index):
+            live.add_generator(packed[i])
+        else:
+            live = _add_generator(live, packed[i], guards)
+            if len(live) > _INDEX_WIDTH:
+                live = _Index(live, nvars)
         if i + 1 in cuts:
             narrow = (1 << _top(packed[i]) * _W) - 1
-            cache.put(packed[: i + 1], tuple((mask, v & narrow) for mask, v in components))
+            cache.put(packed[: i + 1], tuple(v & narrow for v in live))
 
     result = (
         IrreducibleComponent(
             nvars, tuple((j, e) for j, e in enumerate(_unpack(v, nvars), start=1) if e != _ABSENT)
         )
-        for _, v in components
+        for v in live
     )
     return tuple(sorted(result, key=lambda c: c.sort_key))
 

@@ -164,6 +164,9 @@ def verify_cell(
         one_sided=method == METHOD_WITNESS,
     )
     try:
+        # the prediction alone can spend the budget on a large cell
+        if time.monotonic() > deadline:
+            raise DeadlineExceeded("prediction exceeded the cell budget")
         power = ideal.power(k, deadline=deadline)
         if method == METHOD_DECOMPOSITION:
             computed = set(associated_primes(power, cache=cache, deadline=deadline))

@@ -30,6 +30,7 @@ from pathideal.decomposition import (
     WITNESS_IN_POWER,
     DeadlineExceeded,
     _ABSENT,
+    _Index,
     _add_generator,
     _guards,
     _pack,
@@ -53,8 +54,22 @@ def primes_of(decomp):
 
 
 def packed(*vector):
-    # a kernel component: (support mask, packed vector); _ABSENT marks an unused variable
-    return (sum(1 << j for j, e in enumerate(vector) if e != _ABSENT), _pack(vector))
+    # a kernel component: a packed vector; _ABSENT marks an unused variable
+    return _pack(vector)
+
+
+def list_step(components, g, nvars):
+    return _add_generator(components, g, _guards(nvars))
+
+
+def indexed_step(components, g, nvars):
+    index = _Index(components, nvars)
+    index.add_generator(g)
+    return list(index)
+
+
+# the two forms of one kernel step; a call runs the second past _INDEX_WIDTH live components
+STEPS = (list_step, indexed_step)
 
 
 def leq(a, b):
@@ -163,9 +178,21 @@ class TestSplitting:
         for i in (0, 1, 2, 2, 1, 0):
             assert irreducible_decomposition(ideals[i], cache=shared) == fresh[i]
 
+    def test_either_step_alone_gives_the_same_components(self, monkeypatch):
+        # the width that moves a call into the index changes nothing but speed
+        rng = Random(211)
+        ideals = [ind_ideal(7, 3).power(3), ind_ideal(6, 2).power(3)]
+        ideals += [random_ideal(rng, 5, 12, 4) for _ in range(20)]
+        default = [irreducible_decomposition(I) for I in ideals]
+        assert max(len(c) for c in default) > decomposition._INDEX_WIDTH
+        for width in (0, 10**9):
+            monkeypatch.setattr(decomposition, "_INDEX_WIDTH", width)
+            assert [irreducible_decomposition(I) for I in ideals] == default
+
     def test_deadline_overshoot_is_bounded(self):
-        # a long step between deadline checks would show as a late DeadlineExceeded
-        power = ind_ideal(8, 3).power(4)
+        # a long step between deadline checks would show as a late DeadlineExceeded;
+        # I(10,4)^4 decomposes in about a second, far past the budget
+        power = ind_ideal(10, 4).power(4)
         deadline = time.monotonic() + 0.2
         with pytest.raises(DeadlineExceeded):
             irreducible_decomposition(power, cache=DecompositionCache(), deadline=deadline)
@@ -234,28 +261,27 @@ class TestIrredundantFilter:
 
 
 class TestPrune:
-    # one step of the kernel on components in the kernel form, (support mask, packed vector)
+    # one step of the kernel, in both forms, on components in the kernel form
     def test_containment_prune(self):
-        # <x1*x2^2> + <x1*x2>: the new <x1, x2^2> contains the kept <x1>
-        x1, x2_2 = packed(1, _ABSENT), packed(_ABSENT, 2)
-        step = _add_generator([x1, x2_2], _pack((1, 1)), _guards(2))
-        assert sorted(step) == sorted([x1, packed(_ABSENT, 1)])
-        # <x1*x2^3, x2^3*x3^2> + <x2*x3>: the new <x1, x2, x3^2> contains the new <x2>
-        step = _add_generator(
-            [packed(1, _ABSENT, 2), packed(_ABSENT, 3, _ABSENT)], _pack((0, 1, 1)), _guards(3)
-        )
-        expected = [packed(1, _ABSENT, 1), packed(_ABSENT, 1, _ABSENT), packed(_ABSENT, 3, 1)]
-        assert sorted(step) == sorted(expected)
+        for step in STEPS:
+            # <x1*x2^2> + <x1*x2>: the new <x1, x2^2> contains the kept <x1>
+            x1, x2_2 = packed(1, _ABSENT), packed(_ABSENT, 2)
+            out = step([x1, x2_2], _pack((1, 1)), 2)
+            assert sorted(out) == sorted([x1, packed(_ABSENT, 1)])
+            # <x1*x2^3, x2^3*x3^2> + <x2*x3>: the new <x1, x2, x3^2> contains the new <x2>
+            out = step([packed(1, _ABSENT, 2), packed(_ABSENT, 3, _ABSENT)], _pack((0, 1, 1)), 3)
+            expected = [packed(1, _ABSENT, 1), packed(_ABSENT, 1, _ABSENT), packed(_ABSENT, 3, 1)]
+            assert sorted(out) == sorted(expected)
 
     def test_incomparable_supports_kept(self):
-        zero = packed(_ABSENT, _ABSENT, _ABSENT)
-        step = _add_generator([zero], _pack((2, 0, 1)), _guards(3))
-        assert sorted(step) == sorted([packed(2, _ABSENT, _ABSENT), packed(_ABSENT, _ABSENT, 1)])
-        # <x1*x2> + <x3^2> = <x1, x3^2> & <x2, x3^2>
-        step = _add_generator(
-            [packed(1, _ABSENT, _ABSENT), packed(_ABSENT, 1, _ABSENT)], _pack((0, 0, 2)), _guards(3)
-        )
-        assert sorted(step) == sorted([packed(1, _ABSENT, 2), packed(_ABSENT, 1, 2)])
+        for step in STEPS:
+            zero = packed(_ABSENT, _ABSENT, _ABSENT)
+            out = step([zero], _pack((2, 0, 1)), 3)
+            assert sorted(out) == sorted([packed(2, _ABSENT, _ABSENT), packed(_ABSENT, _ABSENT, 1)])
+            # <x1*x2> + <x3^2> = <x1, x3^2> & <x2, x3^2>
+            x1, x2 = packed(1, _ABSENT, _ABSENT), packed(_ABSENT, 1, _ABSENT)
+            out = step([x1, x2], _pack((0, 0, 2)), 3)
+            assert sorted(out) == sorted([packed(1, _ABSENT, 2), packed(_ABSENT, 1, 2)])
 
 
 # every field value the kernel stores: a zero exponent, small ones, the cap, absent
@@ -282,8 +308,24 @@ def step_reference(components, g):
     return {c for c in candidates if not any(d != c and leq(c, d) for d in candidates)}
 
 
+# every field value in increasing order
+RANKED = (0, 1, 2, 3, 4, EXPONENT_CAP, _ABSENT)
+
+
+def antichain(draw, nvars, tries):
+    # vectors whose positions in RANKED add up to one total are pairwise incomparable,
+    # so they form an irredundant live set much wider than a filtered random draw
+    total = draw(st.integers(2 * nvars, 4 * nvars))
+    out = set()
+    for _ in range(tries):
+        ranks = draw(st.lists(st.integers(0, 6), min_size=nvars - 1, max_size=nvars - 1))
+        if 0 <= total - sum(ranks) <= 6:
+            out.add(tuple(RANKED[r] for r in ranks + [total - sum(ranks)]))
+    return out
+
+
 class TestGuardBits:
-    # the packed tests inside _add_generator against componentwise <=
+    # the packed tests of both kernel steps against componentwise <=
     def test_layout_has_one_owner(self):
         for name in ("_pack", "_unpack", "_guards", "_W", "_FIELD"):
             assert getattr(decomposition, name) is getattr(ideal, name), name
@@ -294,8 +336,9 @@ class TestGuardBits:
         nvars = data.draw(st.integers(1, 12))
         q, g = vectors(data.draw, FIELDS, nvars), vectors(data.draw, EXPONENTS, nvars)
         assume(any(g))
-        step = _add_generator([packed(*q)], _pack(g), _guards(nvars))
-        assert sorted(step) == sorted(packed(*v) for v in step_reference([q], g))
+        expected = sorted(packed(*v) for v in step_reference([q], g))
+        for step in STEPS:
+            assert sorted(step([packed(*q)], _pack(g), nvars)) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -306,8 +349,27 @@ class TestGuardBits:
         components = [c for c in drawn if not any(d != c and leq(c, d) for d in drawn)]
         g = vectors(data.draw, EXPONENTS, nvars)
         assume(any(g))
-        step = _add_generator([packed(*c) for c in components], _pack(g), _guards(nvars))
-        assert sorted(step) == sorted(packed(*v) for v in step_reference(components, g))
+        expected = sorted(packed(*v) for v in step_reference(components, g))
+        for step in STEPS:
+            assert sorted(step([packed(*c) for c in components], _pack(g), nvars)) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_indexed_step_on_wide_live_sets(self, data):
+        # up to about 40 live components, with missed ones and kept rivals in every field
+        nvars = data.draw(st.integers(2, 6))
+        components = sorted(antichain(data.draw, nvars, data.draw(st.integers(8, 60))))
+        g = vectors(data.draw, EXPONENTS, nvars)
+        assume(any(g))
+        index = _Index([packed(*c) for c in components], nvars)
+        index.add_generator(_pack(g))
+        after = step_reference(components, g)
+        assert sorted(index) == sorted(packed(*v) for v in after)
+        # the index stays consistent across steps: a second generator matches too
+        h = vectors(data.draw, EXPONENTS, nvars)
+        assume(any(h))
+        index.add_generator(_pack(h))
+        assert sorted(index) == sorted(packed(*v) for v in step_reference(after, h))
 
 
 class TestAssociatedPrimes:

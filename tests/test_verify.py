@@ -99,8 +99,9 @@ class TestVerifyCell:
         assert report.verdict == VERDICT_SKIPPED
 
     def test_budget_overshoot_is_bounded(self):
+        # decomposing I(10,4)^4 takes about a second, far past the budget
         start = time.monotonic()
-        report = verify_cell(8, 3, 4, budget_seconds=0.2, cache=DecompositionCache())
+        report = verify_cell(10, 4, 4, budget_seconds=0.2, cache=DecompositionCache())
         assert report.verdict == VERDICT_SKIPPED
         assert time.monotonic() - (start + 0.2) <= 2.0
 
@@ -110,6 +111,20 @@ class TestVerifyCell:
         report = verify_cell(13, 4, 3, budget_seconds=0.5, cache=DecompositionCache())
         assert report.verdict == VERDICT_SKIPPED
         assert time.monotonic() - (start + 0.5) <= 2.0
+
+    def test_budget_spent_on_the_prediction_skips_the_power(self, monkeypatch):
+        real_prediction = verify.predicted_ass
+
+        def slow_prediction(n, t, k):
+            time.sleep(0.05)
+            return real_prediction(n, t, k)
+
+        monkeypatch.setattr(verify, "predicted_ass", slow_prediction)
+        powers = skip_power(monkeypatch, None)
+        report = verify_cell(6, 2, 2, budget_seconds=0.01)
+        assert report.verdict == VERDICT_SKIPPED
+        assert powers == []
+        assert report.predicted_count == len(real_prediction(6, 2, 2))
 
     @pytest.mark.parametrize("budget", BAD_BUDGETS)
     def test_bad_budget_rejected(self, budget):
