@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from math import comb
 from typing import Optional
 
 from .decomposition import IrreducibleComponent, VarPrime
@@ -117,6 +118,18 @@ def predicted_ass(n: int, t: int, k: int) -> tuple[VarPrime, ...]:
         for idx in _parity_index_lists(n, n - 2 * t + 2 * level)
     ]
     return tuple(sorted(primes, key=lambda p: p.sort_key))
+
+
+def _predicted_count(n: int, t: int, k: int) -> int:
+    """len(predicted_ass(n, t, k)) without enumerating the primes.
+
+    Level L contributes the nondecreasing sequences of length
+    L = n - 2t + 2*level with entries in 0..(n - L)//2 (see
+    `_parity_index_lists`), and there are C((n - L)//2 + L, L) of them.
+    """
+    top = min(predicted_astab(n, t), k)
+    lengths = (n - 2 * t + 2 * level for level in range(1, top + 1))
+    return sum(comb((n - length) // 2 + length, length) for length in lengths)
 
 
 def predicted_astab(n: int, t: int) -> int:

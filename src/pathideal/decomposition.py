@@ -58,8 +58,10 @@ on x_1..x_m before any that uses x_{m+1}; for a path ideal the generators of
 I(n, t)^k on x_1..x_{n-1} are exactly I(n-1, t)^k.  A DecompositionCache
 memoizes the decomposition of every such prefix, keyed on its packed
 generators and stored narrowed to its m variables, and a call resumes from
-the longest prefix it finds.  Associated primes are read off as the
-radicals (support sets) of the surviving components.
+the longest prefix it finds.  The surviving vectors are wrapped into
+IrreducibleComponent objects without re-validation (a vector holds each
+variable in range at most once, with a positive entry), and associated
+primes are read off as their distinct radicals (support sets).
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import reduce
+from operator import lt
 from typing import Optional, Sequence
 
 # DeadlineExceeded and the packed layout are re-exported for existing importers.
@@ -98,6 +101,9 @@ class VarPrime:
     def __post_init__(self):
         vs = tuple(self.vars)
         object.__setattr__(self, "vars", vs)
+        if vs and vs[0] >= 1 and vs[-1] <= self.nvars and all(map(lt, vs, vs[1:])):
+            return
+        # invalid: the checks below name the first fault
         if not vs:
             raise ValueError("a variable prime needs at least one variable")
         if any(not 1 <= v <= self.nvars for v in vs):
@@ -134,6 +140,14 @@ class IrreducibleComponent:
                 raise ValueError(f"variable index {i} out of range [1, {self.nvars}]")
             if a < 1:
                 raise ValueError(f"pure power exponent must be >= 1, got x{i}^{a}")
+
+    @classmethod
+    def _from_kernel(cls, nvars: int, powers: tuple[tuple[int, int], ...]) -> IrreducibleComponent:
+        """Fast path for powers already sorted by variable, in range and positive."""
+        component = object.__new__(cls)
+        object.__setattr__(component, "nvars", nvars)
+        object.__setattr__(component, "powers", powers)
+        return component
 
     @property
     def sort_key(self) -> tuple:
@@ -428,13 +442,16 @@ def irreducible_decomposition(
             narrow = (1 << _top(packed[i]) * _W) - 1
             cache.put(packed[: i + 1], tuple(v & narrow for v in live))
 
-    result = (
-        IrreducibleComponent(
-            nvars, tuple((j, e) for j, e in enumerate(_unpack(v, nvars), start=1) if e != _ABSENT)
-        )
-        for v in live
-    )
-    return tuple(sorted(result, key=lambda c: c.sort_key))
+    result = []
+    for v in live:
+        powers = []
+        for j in range(nvars):
+            e = v >> j * _W & _FIELD
+            if e != _ABSENT:
+                powers.append((j + 1, e))
+        result.append(IrreducibleComponent._from_kernel(nvars, tuple(powers)))
+    result.sort(key=lambda c: c.sort_key)
+    return tuple(result)
 
 
 def associated_primes(
@@ -443,10 +460,14 @@ def associated_primes(
     cache: Optional[DecompositionCache] = None,
     deadline: Optional[float] = None,
 ) -> tuple[VarPrime, ...]:
-    """Associated primes: radicals of the irredundant irreducible components."""
+    """Associated primes: radicals of the irredundant irreducible components.
+
+    A component's radical is its support, and each distinct support becomes
+    one VarPrime.
+    """
     components = irreducible_decomposition(ideal, cache=cache, deadline=deadline)
-    primes = {c.radical_prime() for c in components}
-    return tuple(sorted(primes, key=lambda p: p.sort_key))
+    supports = sorted({c.support() for c in components}, key=lambda vs: (len(vs), vs))
+    return tuple(VarPrime(ideal.nvars, vs) for vs in supports)
 
 
 @dataclass(frozen=True)
@@ -489,30 +510,46 @@ def verify_witness(
 def minimal_primes_squarefree(ideal: MonomialIdeal) -> tuple[VarPrime, ...]:
     """Minimal primes of a squarefree monomial ideal by exhaustive transversal search.
 
-    Independent of the decomposition kernel: enumerates every nonempty variable
-    subset as a bit mask and keeps the inclusion-minimal ones hitting every
-    generator's support.  A transversal is minimal iff each of its vertices
-    is the only one meeting some support (a private vertex), so one pass over
-    the supports decides both: the subset is a transversal when every meet is
-    nonzero, and minimal when the single-vertex meets OR back to the subset.
+    The minimal primes of a squarefree ideal are the minimal vertex covers
+    (transversals) of its generators' supports (Herzog-Hibi, Monomial
+    Ideals, ch. 1).  All 2^n variable subsets are decided at once, one bit
+    each: bit X of a subset bitset stands for the subset whose bit mask is X.
+    `contains[v]`, the subsets holding vertex v, repeats 2^v clear bits then
+    2^v set bits, so it has a closed form.  A subset meets a support when it
+    holds one of its vertices, so the transversals T are the AND over the
+    generators of the OR of `contains[v]` over the support.  T is closed
+    upward, so a transversal X is minimal iff no X - {v} is one; shifting
+    the transversals without v up by 2^v adds v to each, and the minimal
+    transversals are T minus the OR of those shifts.
+
+    Independent of the decomposition kernel: it reads the supports from
+    `ideal.gens` and shares no code with the components.
     """
     if ideal.is_zero:
         raise ValueError("the zero ideal has no minimal primes")
     if not ideal.is_squarefree:
         raise ValueError("minimal_primes_squarefree requires a squarefree ideal")
     nvars = ideal.nvars
-    supports = [sum(1 << (i - 1) for i in g.support()) for g in ideal.gens]
-    found: list[VarPrime] = []
-    for subset in range(1, 1 << nvars):
-        private = 0
-        for s in supports:
-            meet = s & subset
-            if not meet:
-                break
-            if meet & (meet - 1) == 0:
-                private |= meet
-        else:
-            if private == subset:
-                vars_ = tuple(i for i in range(1, nvars + 1) if subset >> (i - 1) & 1)
-                found.append(VarPrime(nvars, vars_))
-    return tuple(sorted(found, key=lambda p: p.sort_key))
+    everything = (1 << (1 << nvars)) - 1
+    contains = [
+        everything // ((1 << (2 << v)) - 1) * (((1 << (1 << v)) - 1) << (1 << v))
+        for v in range(nvars)
+    ]
+    transversals = everything
+    for g in ideal.gens:
+        meets = 0
+        for i in g.support():
+            meets |= contains[i - 1]
+        transversals &= meets
+    shrinkable = 0
+    for v in range(nvars):
+        shrinkable |= (transversals & ~contains[v]) << (1 << v)
+    minimal = transversals & ~shrinkable
+    found = []
+    while minimal:
+        low = minimal & -minimal
+        subset = low.bit_length() - 1
+        found.append(tuple(v + 1 for v in range(nvars) if subset >> v & 1))
+        minimal ^= low
+    found.sort(key=lambda vs: (len(vs), vs))
+    return tuple(VarPrime(nvars, vs) for vs in found)

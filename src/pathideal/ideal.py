@@ -41,7 +41,10 @@ _FIELD = (1 << (_W - 1)) - 1
 
 
 def _pack(exponents: Sequence[int]) -> int:
-    return sum(e << (j * _W) for j, e in enumerate(exponents))
+    value = 0
+    for e in reversed(exponents):
+        value = value << _W | e
+    return value
 
 
 def _unpack(value: int, nvars: int) -> tuple[int, ...]:
@@ -49,8 +52,8 @@ def _unpack(value: int, nvars: int) -> tuple[int, ...]:
 
 
 def _guards(nvars: int) -> int:
-    """The guard bits of the first nvars fields."""
-    return _pack((_FIELD + 1,) * nvars)
+    """The guard bits of the first nvars fields: the guard bit times 1 + 2^_W + ... ."""
+    return (_FIELD + 1) * (((1 << nvars * _W) - 1) // ((1 << _W) - 1))
 
 
 def _excess(a: int, b: int, guards: int) -> int:
@@ -90,7 +93,9 @@ def _minimize_raw(blocks: dict[int, set[int]]) -> list[int]:
 def _products(
     rows: Sequence[int], columns: Sequence[int], nvars: int, deadline: Optional[float] = None
 ) -> dict[int, set[int]]:
-    """Every sum u + v, grouped by degree; `deadline` is checked once per row."""
+    """Every sum u + v, grouped by degree; `deadline` is checked on entry and once per row."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise DeadlineExceeded("building the power exceeded its time budget")
     guards = _guards(nvars)
     top = reduce(lambda a, b: b + _excess(a, b, guards), columns, 0)  # fieldwise max
     spill = _pack((_FIELD - EXPONENT_CAP,) * nvars)
@@ -123,14 +128,14 @@ class MonomialIdeal:
     def __init__(self, nvars: int, gens: Iterable[Monomial] = ()):
         if nvars < 1:
             raise ValueError("nvars must be positive")
-        packed = []
+        blocks: dict[int, set[int]] = {}
         for g in gens:
             if g.nvars != nvars:
                 raise DimensionMismatch(
                     f"generator {g} has {g.nvars} variables, ideal has {nvars}"
                 )
-            packed.append(_pack(g.exponents))
-        self._store(nvars, _minimize_raw(_by_degree(packed)))
+            blocks.setdefault(g.degree, set()).add(_pack(g.exponents))
+        self._store(nvars, _minimize_raw(blocks))
 
     def _store(self, nvars: int, minimal: Iterable[int]) -> MonomialIdeal:
         self.nvars = nvars
@@ -262,17 +267,35 @@ class MonomialIdeal:
 
     def intersect(self, other: MonomialIdeal) -> MonomialIdeal:
         """Generated by the pairwise lcms, except that a generator u lying in
-        `other` stands alone: every lcm(u, v) is a multiple of u."""
+        `other` stands alone: every lcm(u, v) is a multiple of u.
+
+        Such a u is a minimal generator of the result, kept without a test:
+        an lcm(u', v) dividing u would make the generator u' divide u, so
+        u' = u, and two of them never divide each other.  Only the lcms of
+        the other generators are swept, in numeric order, since a divisor of
+        a packed vector is never numerically larger: each is kept unless a
+        kept generator below it divides it.
+        """
         self._check_same_ring(other)
         guards, theirs = _guards(self.nvars), other._packed
-        lcms: list[int] = []
+        inside: list[int] = []
+        lcms: set[int] = set()
         for u in self._packed:
             high = u | guards
             if any((high - v) & guards == guards for v in theirs):
-                lcms.append(u)
+                inside.append(u)
             else:
-                lcms += [v + _excess(u, v, guards) for v in theirs]
-        return MonomialIdeal._from_packed(self.nvars, _minimize_raw(_by_degree(lcms)))
+                lcms.update([v + _excess(u, v, guards) for v in theirs])
+        kept: list[int] = []
+        below = 0  # inside[:below] have joined `kept`
+        for t in sorted(lcms):
+            while below < len(inside) and inside[below] < t:
+                kept.append(inside[below])
+                below += 1
+            high = t | guards
+            if not any((high - g) & guards == guards for g in kept):
+                kept.append(t)
+        return MonomialIdeal._from_packed(self.nvars, kept + inside[below:])
 
     def colon_monomial(self, u: Monomial) -> MonomialIdeal:
         """I : u, generated by g / gcd(g, u) over the generators g.

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 from . import __version__
-from .closedform import predicted_ass, predicted_astab, witness_monomial
+from .closedform import _predicted_count, predicted_ass, predicted_astab, witness_monomial
 from .decomposition import (
     DeadlineExceeded,
     DecompositionCache,
@@ -152,7 +152,6 @@ def verify_cell(
     # built first: it rejects n above MAX_PATH_VERTICES, where the prediction
     # alone could run far past the budget
     ideal = ind_ideal(n, t)
-    predicted = predicted_ass(n, t, k)
     report = VerificationReport(
         n=n,
         t=t,
@@ -160,11 +159,14 @@ def verify_cell(
         case=case,
         method=method,
         verdict=VERDICT_SKIPPED,
-        predicted_count=len(predicted),
+        predicted_count=_predicted_count(n, t, k),
         one_sided=method == METHOD_WITNESS,
     )
     try:
-        # the prediction alone can spend the budget on a large cell
+        # the ideal, and then the prediction, can each spend the budget on a large cell
+        if time.monotonic() > deadline:
+            raise DeadlineExceeded("building the ideal exceeded the cell budget")
+        predicted = predicted_ass(n, t, k)
         if time.monotonic() > deadline:
             raise DeadlineExceeded("prediction exceeded the cell budget")
         power = ideal.power(k, deadline=deadline)

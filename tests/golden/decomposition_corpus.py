@@ -71,7 +71,7 @@ def _path_cells() -> Iterator[tuple[str, MonomialIdeal]]:
                 yield f"I({n},{t})^{k}", ideal if ideal.is_zero else ideal.power(k)
 
 
-def _call(name: str, label: str, fn: Callable[[], tuple]) -> str:
+def call(name: str, label: str, fn: Callable[[], tuple]) -> str:
     try:
         out = " & ".join(str(x) for x in fn())
     except (ValueError, ArithmeticError) as exc:
@@ -87,27 +87,27 @@ def sections() -> dict[str, list[str]]:
     cache = DecompositionCache()
     return {
         "irreducible_decomposition/random": [
-            _call("irreducible_decomposition", str(I), lambda: irreducible_decomposition(I))
+            call("irreducible_decomposition", str(I), lambda: irreducible_decomposition(I))
             for I in random_ideals
         ],
         "associated_primes/random": [
-            _call("associated_primes", str(I), lambda: associated_primes(I))
+            call("associated_primes", str(I), lambda: associated_primes(I))
             for I in random_ideals
         ],
         "minimal_primes_squarefree/random": [
-            _call("minimal_primes_squarefree", str(I), lambda: minimal_primes_squarefree(I))
+            call("minimal_primes_squarefree", str(I), lambda: minimal_primes_squarefree(I))
             for I in random_ideals
         ],
         "irreducible_decomposition/path": [
-            _call("irreducible_decomposition", label, lambda: irreducible_decomposition(I, cache=cache))
+            call("irreducible_decomposition", label, lambda: irreducible_decomposition(I, cache=cache))
             for label, I in path_cells
         ],
         "associated_primes/path": [
-            _call("associated_primes", label, lambda: associated_primes(I, cache=cache))
+            call("associated_primes", label, lambda: associated_primes(I, cache=cache))
             for label, I in path_cells
         ],
         "minimal_primes_squarefree/path": [
-            _call("minimal_primes_squarefree", label, lambda: minimal_primes_squarefree(I))
+            call("minimal_primes_squarefree", label, lambda: minimal_primes_squarefree(I))
             for label, I in path_cells
         ],
     }
@@ -117,19 +117,22 @@ def digest(lines: list[str]) -> str:
     return hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
 
 
-def main(argv: list[str]) -> int:
+def run(
+    argv: list[str], usage: str, build: Callable[[], dict[str, list[str]]], hashes: Path
+) -> int:
+    """Print a corpus's lines; with `--write`, also record its hashes."""
     if argv not in ([], ["--write"]):
-        print(__doc__, file=sys.stderr)
+        print(usage, file=sys.stderr)
         return 2
-    corpus = sections()
+    corpus = build()
     for name, lines in corpus.items():
         for line in lines:
             print(f"{name}: {line}")
     if argv:
-        hashes = {name: digest(lines) for name, lines in corpus.items()}
-        HASHES.write_text(json.dumps(hashes, indent=2) + "\n", encoding="utf-8")
+        digests = {name: digest(lines) for name, lines in corpus.items()}
+        hashes.write_text(json.dumps(digests, indent=2) + "\n", encoding="utf-8")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(run(sys.argv[1:], __doc__, sections, HASHES))

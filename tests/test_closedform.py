@@ -6,9 +6,11 @@ import pytest
 
 from pathideal import (
     ParityPrime,
+    PathCase,
     VarPrime,
     ZeroIdealError,
     associated_primes,
+    classify,
     complement_components,
     enumerate_parity_primes,
     ind_ideal,
@@ -22,7 +24,7 @@ from pathideal import (
     verify_witness,
     witness_monomial,
 )
-from pathideal.closedform import _parity_level
+from pathideal.closedform import _parity_level, _predicted_count
 
 from helpers import paper_witness
 
@@ -165,6 +167,19 @@ class TestPredictedAss:
         for (n, t) in [(5, 2), (6, 2), (7, 3), (9, 4)]:
             for k in range(t, t + 3):
                 assert predicted_ass(n, t, k) == predicted_ass(n, t, t)
+
+    def test_count_matches_the_enumeration(self):
+        cells = [
+            (n, t, k)
+            for n in range(1, 17)
+            for t in range(1, 9)
+            for k in range(1, 9)
+            if classify(n, t) is not PathCase.ZERO
+        ]
+        assert len(cells) == 576
+        for n, t, k in cells:
+            assert _predicted_count(n, t, k) == len(predicted_ass(n, t, k)), (n, t, k)
+        assert _predicted_count(24, 8, 8) == 56070
 
 
 class TestStability:

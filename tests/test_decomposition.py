@@ -404,6 +404,30 @@ class TestAssociatedPrimes:
             I = random_squarefree_ideal(rng, rng.randint(2, 6), 4)
             assert associated_primes(I) == minimal_primes_squarefree(I)
 
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_are_the_radicals_of_the_components(self, shared):
+        # non-squarefree ideals, a third of them with exponents at and near the cap
+        rng = Random(223)
+        cache = DecompositionCache() if shared else None
+        checked = 0
+        for number in range(60):
+            nvars = rng.randint(1, 7)
+            gens = []
+            for _ in range(rng.randint(1, 6)):
+                exponents = [rng.choice((0, 0, 1, 2, 3)) for _ in range(nvars)]
+                if number % 3 == 0:
+                    exponents[rng.randrange(nvars)] = rng.choice((EXPONENT_CAP - 1, EXPONENT_CAP))
+                exponents[rng.randrange(nvars)] += not any(exponents)
+                gens.append(Monomial(exponents))
+            I = MonomialIdeal(nvars, gens)
+            if I.is_squarefree:
+                continue
+            radicals = {c.radical_prime() for c in irreducible_decomposition(I)}
+            primes = associated_primes(I, cache=cache)
+            assert primes == tuple(sorted(radicals, key=lambda p: p.sort_key))
+            checked += 1
+        assert checked >= 45
+
 
 class TestMinimalPrimes:
     def test_path_ideal_covers(self):
@@ -446,6 +470,34 @@ class TestMinimalPrimes:
     @example(MonomialIdeal(1, [Monomial((1,))]))
     def test_matches_naive_transversals(self, I):
         assert minimal_primes_squarefree(I) == naive_minimal_transversals(I)
+
+    @pytest.mark.parametrize("nvars", [1, 10, 11, 12])
+    def test_matches_naive_transversals_on_wide_rings(self, nvars):
+        # the subset bitsets are 2^nvars bits long; the hypothesis test stops at 9
+        rng = Random(nvars)
+        sizes = [min(nvars, rng.randint(2, 3)) for _ in range(14)]
+        supports = [rng.sample(range(1, nvars + 1), size) for size in sizes]
+        I = MonomialIdeal(nvars, [Monomial.from_support(s, nvars) for s in supports])
+        assert minimal_primes_squarefree(I) == naive_minimal_transversals(I)
+
+
+class TestVarPrime:
+    @pytest.mark.parametrize(
+        "indices, message",
+        [
+            ((), "a variable prime needs at least one variable"),
+            ((0, 2), "variable indices (0, 2) out of range [1, 3]"),
+            ((1, 4), "variable indices (1, 4) out of range [1, 3]"),
+            ((2, 2), "variable indices must be strictly increasing, got (2, 2)"),
+            ((3, 1), "variable indices must be strictly increasing, got (3, 1)"),
+            ((4, 1), "variable indices (4, 1) out of range [1, 3]"),
+            ((2, 0), "variable indices (2, 0) out of range [1, 3]"),
+        ],
+    )
+    def test_invalid_indices_rejected(self, indices, message):
+        with pytest.raises(ValueError) as raised:
+            VarPrime(3, indices)
+        assert str(raised.value) == message
 
 
 class TestAsIdeal:

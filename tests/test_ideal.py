@@ -124,6 +124,19 @@ class TestSumProductPower:
         with pytest.raises(DeadlineExceeded):
             I.power(2, deadline=deadline)
 
+    def test_past_deadline_raises_before_any_grouping(self, monkeypatch):
+        I = ind_ideal(10, 3)
+        real, calls = ideal_module._by_degree, []
+
+        def counted(values):
+            calls.append(1)
+            return real(values)
+
+        monkeypatch.setattr(ideal_module, "_by_degree", counted)
+        with pytest.raises(DeadlineExceeded):
+            I.power(8, deadline=time.monotonic() - 1.0)
+        assert calls == []
+
     def test_exponent_overflow_at_the_cap(self):
         # products are packed sums, so the kernel itself must refuse a field past the cap
         x2 = Monomial((0, 1))
@@ -211,14 +224,16 @@ class TestIntersect:
     @settings(deadline=None, max_examples=150)
     @given(st.data())
     def test_matches_pairwise_lcms(self, data):
+        # empty row lists are zero ideals; some entries sit at and near the cap
         n = data.draw(st.integers(1, 5))
-        row = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any)
+        entry = st.sampled_from([0, 1, 2, 3, EXPONENT_CAP - 1, EXPONENT_CAP])
+        row = st.lists(entry, min_size=n, max_size=n).filter(any)
         rows_i = data.draw(st.lists(row, max_size=5))
         rows_j = data.draw(st.lists(row, max_size=5))
         # multiples of I's generators: generators of J that lie in I
         for u in data.draw(st.lists(st.sampled_from(rows_i), max_size=3)) if rows_i else []:
             extra = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-            rows_j.append([a + b for a, b in zip(u, extra)])
+            rows_j.append([min(a + b, EXPONENT_CAP) for a, b in zip(u, extra)])
         I = MonomialIdeal(n, [Monomial(r) for r in rows_i])
         J = MonomialIdeal(n, [Monomial(r) for r in rows_j])
         for (a, rows_a), (b, rows_b) in (((I, rows_i), (J, rows_j)), ((J, rows_j), (I, rows_i))):

@@ -15,6 +15,7 @@ from pathideal import (
     empirical_astab,
     grid_scan,
     persistence_scan,
+    predicted_ass,
     verify,
     verify_cell,
 )
@@ -125,6 +126,20 @@ class TestVerifyCell:
         assert report.verdict == VERDICT_SKIPPED
         assert powers == []
         assert report.predicted_count == len(real_prediction(6, 2, 2))
+
+    def test_budget_spent_on_the_ideal_skips_the_prediction(self, monkeypatch):
+        real_ideal, predictions = verify.ind_ideal, []
+
+        def slow_ideal(n, t):
+            time.sleep(0.05)
+            return real_ideal(n, t)
+
+        monkeypatch.setattr(verify, "ind_ideal", slow_ideal)
+        monkeypatch.setattr(verify, "predicted_ass", lambda *args: predictions.append(args))
+        report = verify_cell(9, 3, 3, budget_seconds=0.01)
+        assert report.verdict == VERDICT_SKIPPED
+        assert predictions == []
+        assert report.predicted_count == len(predicted_ass(9, 3, 3))
 
     @pytest.mark.parametrize("budget", BAD_BUDGETS)
     def test_bad_budget_rejected(self, budget):
