@@ -106,18 +106,18 @@ def predicted_ass(n: int, t: int, k: int) -> tuple[VarPrime, ...]:
     i_1 < ... < i_L in [n] with i_j = j (mod 2) and L = n - 2t + 2*level, for
     every level from 1 to min(predicted_astab(n, t), k).  So t = 1 gives the
     maximal prime, n = 2t - 1 the odd singletons and n = 2t the (odd, even)
-    pairs.  Output is sorted by prime size (equivalently level), then
-    lexicographically.
+    pairs.  Output is in `sort_key` order, by prime size (equivalently level),
+    then lexicographically: the length grows with the level, and each level's
+    index lists come in lexicographic order.
     """
     if k < 1:
         raise ValueError("k must be positive")
     top = min(predicted_astab(n, t), k)
-    primes = [
+    return tuple(
         VarPrime(n, idx)
         for level in range(1, top + 1)
         for idx in _parity_index_lists(n, n - 2 * t + 2 * level)
-    ]
-    return tuple(sorted(primes, key=lambda p: p.sort_key))
+    )
 
 
 def _predicted_count(n: int, t: int, k: int) -> int:

@@ -13,17 +13,6 @@ EXPONENT_CAP = 1 << 20
 _TERM_RE = re.compile(r"x(\d+)(?:\^(\d+))?$")
 
 
-def exponent_text(exponents: tuple[int, ...]) -> str:
-    """Canonical textual form of an exponent vector, as in ``Monomial.text``."""
-    parts = []
-    for i, e in enumerate(exponents, start=1):
-        if e == 1:
-            parts.append(f"x{i}")
-        elif e > 1:
-            parts.append(f"x{i}^{e}")
-    return "*".join(parts) if parts else "1"
-
-
 class DimensionMismatch(ValueError):
     """Two operands live in polynomial rings with different variable counts."""
 
@@ -135,7 +124,13 @@ class Monomial:
         """Canonical textual form: increasing indices, caret only for exponents > 1."""
         t = self._text
         if t is None:
-            t = self._text = exponent_text(self.exponents)
+            parts = []
+            for i, e in enumerate(self.exponents, start=1):
+                if e == 1:
+                    parts.append(f"x{i}")
+                elif e > 1:
+                    parts.append(f"x{i}^{e}")
+            t = self._text = "*".join(parts) if parts else "1"
         return t
 
     # -- arithmetic --------------------------------------------------------

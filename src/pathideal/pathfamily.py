@@ -15,7 +15,7 @@ from math import comb
 from typing import NamedTuple, Optional
 
 from .decomposition import VarPrime
-from .ideal import MonomialIdeal
+from .ideal import _W, MonomialIdeal
 from .monomial import Monomial
 
 # Independent-set counts grow binomially; verification targets n <= 10.
@@ -95,8 +95,9 @@ def independent_sets(n: int, t: int) -> list[tuple[int, ...]]:
 
 def ind_ideal(n: int, t: int) -> MonomialIdeal:
     """The size-t independence ideal of the path on n vertices (zero if none exist)."""
+    # distinct squarefree monomials of one degree are already minimal
     sets = independent_sets(n, t)
-    return MonomialIdeal(n, (Monomial.from_support(s, n) for s in sets))
+    return MonomialIdeal._from_packed(n, (sum(1 << (v - 1) * _W for v in s) for s in sets))
 
 
 def independent_set_count(n: int, t: int) -> int:

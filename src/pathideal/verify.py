@@ -13,7 +13,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import __version__
 from .closedform import _predicted_count, predicted_ass, predicted_astab, witness_monomial
@@ -81,6 +81,11 @@ class VerificationReport:
     one_sided: bool = False
     witnesses: tuple[WitnessOutcome, ...] = ()
     wall_time_ms: Optional[float] = None
+    # a result, not part of the record: the computed Ass set of a decomposition
+    # cell that finished (PASS or FAIL), None for every other cell
+    computed_primes: Optional[frozenset[VarPrime]] = field(
+        default=None, repr=False, compare=False
+    )
 
     def to_record(self, include_timings: bool = False) -> dict:
         """Fixed-field-order dict for serialization."""
@@ -135,7 +140,8 @@ def verify_cell(
     The decomposition method is two-sided (exact set equality); witness-only
     confirms predicted primes individually and cannot detect extra ones.
     Exceeding the wall-clock budget, building the power included, yields a
-    SKIPPED verdict, never a silent pass.
+    SKIPPED verdict, never a silent pass.  A decomposition cell that finishes
+    carries its computed set in `computed_primes`.
     """
     if not all(_is_count(v) for v in (n, t, k)):
         raise ValueError("n, t and k must be positive integers")
@@ -171,10 +177,13 @@ def verify_cell(
             raise DeadlineExceeded("prediction exceeded the cell budget")
         power = ideal.power(k, deadline=deadline)
         if method == METHOD_DECOMPOSITION:
-            computed = set(associated_primes(power, cache=cache, deadline=deadline))
-            report.computed_count = len(computed)
-            report.missing = tuple(sorted(set(predicted) - computed, key=lambda p: p.sort_key))
-            report.extra = tuple(sorted(computed - set(predicted), key=lambda p: p.sort_key))
+            # both lists come in sort_key order, and the filters keep it
+            computed = associated_primes(power, cache=cache, deadline=deadline)
+            found = report.computed_primes = frozenset(computed)
+            expected = frozenset(predicted)
+            report.computed_count = len(found)
+            report.missing = tuple(p for p in predicted if p not in found)
+            report.extra = tuple(p for p in computed if p not in expected)
             ok = not report.missing and not report.extra
         else:
             outcomes = []
@@ -191,24 +200,6 @@ def verify_cell(
         pass
     report.wall_time_ms = (time.monotonic() - start) * 1000.0
     return report
-
-
-def _ass_chain(
-    n: int, t: int, kmax: int, budget_seconds: float, cache: Optional[DecompositionCache]
-) -> Iterator[tuple[VerificationReport, Optional[set[VarPrime]]]]:
-    """verify_cell for k = 1..kmax, each report with its computed Ass set.
-
-    The set is read back as predicted - missing + extra, and is None when the
-    cell is SKIPPED or ZERO.
-    """
-    for k in range(1, kmax + 1):
-        report = verify_cell(
-            n, t, k, METHOD_DECOMPOSITION, budget_seconds=budget_seconds, cache=cache
-        )
-        computed = None
-        if report.verdict in (VERDICT_PASS, VERDICT_FAIL):
-            computed = (set(predicted_ass(n, t, k)) - set(report.missing)) | set(report.extra)
-        yield report, computed
 
 
 def persistence_scan(
@@ -230,8 +221,10 @@ def persistence_scan(
     if kmax < 2:
         raise ValueError("kmax must be at least 2")
     reports = []
-    previous: Optional[set[VarPrime]] = set()
-    for report, computed in _ass_chain(n, t, kmax, budget_seconds, cache):
+    previous: Optional[frozenset[VarPrime]] = frozenset()
+    for k in range(1, kmax + 1):
+        report = verify_cell(n, t, k, budget_seconds=budget_seconds, cache=cache)
+        computed = report.computed_primes
         if computed is not None and previous is not None:
             report.persistence = previous <= computed
         previous = computed
@@ -274,8 +267,9 @@ def empirical_astab(n: int, t: int, kmax: int) -> AstabResult:
     if not all(_is_count(v) for v in (n, t, kmax)):
         raise ValueError("n, t and kmax must be positive integers")
     predicted = predicted_astab(n, t)
-    chains: list[Optional[set[VarPrime]]] = []
-    for _, computed in _ass_chain(n, t, kmax, DEFAULT_CELL_BUDGET_SECONDS, None):
+    chains: list[Optional[frozenset[VarPrime]]] = []
+    for k in range(1, kmax + 1):
+        computed = verify_cell(n, t, k).computed_primes
         chains.append(computed)
         if computed is None:
             break

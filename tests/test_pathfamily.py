@@ -6,6 +6,7 @@ import pytest
 
 from pathideal import (
     Monomial,
+    MonomialIdeal,
     PathCase,
     PathFamilyParams,
     VarPrime,
@@ -99,6 +100,13 @@ class TestIndIdeal:
             I = ind_ideal(n, t)
             assert I.is_squarefree
             assert all(g.degree == t for g in I.gens)
+        # the packed build equals the ideal minimized from Monomials
+        for n in range(1, 15):
+            for t in range(1, 8):
+                built = [Monomial.from_support(s, n) for s in independent_sets(n, t)]
+                I = ind_ideal(n, t)
+                assert I == MonomialIdeal(n, built)
+                assert I.gens == MonomialIdeal(n, built).gens
 
 
 class TestGenerator2t:

@@ -220,6 +220,23 @@ class TestPersistenceScan:
         assert scan_cache.hits == cell_cache.hits
 
 
+@pytest.mark.parametrize(
+    "chain, kmax", [(persistence_scan, 3), (empirical_astab, 4)], ids=["persistence", "astab"]
+)
+def test_chain_predicts_once_per_power(monkeypatch, chain, kmax):
+    # each power's computed set comes from its cell, not from a second prediction
+    calls = []
+    real_predicted_ass = verify.predicted_ass
+
+    def counted(*args):
+        calls.append(args)
+        return real_predicted_ass(*args)
+
+    monkeypatch.setattr(verify, "predicted_ass", counted)
+    chain(6, 2, kmax)
+    assert calls == [(6, 2, k) for k in range(1, kmax + 1)]
+
+
 class TestEmpiricalAstab:
     def test_wide_case_matches_prediction(self):
         result = empirical_astab(5, 2, 4)
