@@ -114,7 +114,7 @@ def predicted_ass(n: int, t: int, k: int) -> tuple[VarPrime, ...]:
         raise ValueError("k must be positive")
     top = min(predicted_astab(n, t), k)
     return tuple(
-        VarPrime(n, idx)
+        VarPrime._from_vars(n, idx)
         for level in range(1, top + 1)
         for idx in _parity_index_lists(n, n - 2 * t + 2 * level)
     )

@@ -111,6 +111,14 @@ class VarPrime:
         if any(a >= b for a, b in zip(vs, vs[1:])):
             raise ValueError(f"variable indices must be strictly increasing, got {vs}")
 
+    @classmethod
+    def _from_vars(cls, nvars: int, vars: tuple[int, ...]) -> VarPrime:
+        """Fast path for a nonempty tuple of indices strictly increasing in [1, nvars]."""
+        prime = object.__new__(cls)
+        object.__setattr__(prime, "nvars", nvars)
+        object.__setattr__(prime, "vars", vars)
+        return prime
+
     @property
     def sort_key(self) -> tuple:
         return (len(self.vars), self.vars)
@@ -420,8 +428,10 @@ def irreducible_decomposition(
     cuts: set[int] = set()
     if cache is not None:
         # packed[:i] at a cut holds the generators on x_1..x_m (numeric order puts
-        # them first); the last cut ends the ideal
-        cuts = {bisect_left(packed, 1 << m * _W) for m in range(1, nvars)} - {0} | {len(packed)}
+        # them first); the last cut ends the ideal.  Every m at or above the last
+        # generator's top variable would cut at the end.
+        top = _top(packed[-1])
+        cuts = {bisect_left(packed, 1 << m * _W) for m in range(1, top)} - {0} | {len(packed)}
         for i in sorted(cuts, reverse=True):
             stored = cache.get(packed[:i])
             if stored is not None:
@@ -442,16 +452,17 @@ def irreducible_decomposition(
             narrow = (1 << _top(packed[i]) * _W) - 1
             cache.put(packed[: i + 1], tuple(v & narrow for v in live))
 
-    result = []
+    shifts = [(j + 1, j * _W) for j in range(nvars)]
+    powers_list = []
     for v in live:
         powers = []
-        for j in range(nvars):
-            e = v >> j * _W & _FIELD
+        for j, shift in shifts:
+            e = v >> shift & _FIELD
             if e != _ABSENT:
-                powers.append((j + 1, e))
-        result.append(IrreducibleComponent._from_kernel(nvars, tuple(powers)))
-    result.sort(key=lambda c: c.sort_key)
-    return tuple(result)
+                powers.append((j, e))
+        powers_list.append(tuple(powers))
+    powers_list.sort(key=lambda powers: (len(powers), powers))
+    return tuple(IrreducibleComponent._from_kernel(nvars, powers) for powers in powers_list)
 
 
 def associated_primes(
@@ -467,7 +478,7 @@ def associated_primes(
     """
     components = irreducible_decomposition(ideal, cache=cache, deadline=deadline)
     supports = sorted({c.support() for c in components}, key=lambda vs: (len(vs), vs))
-    return tuple(VarPrime(ideal.nvars, vs) for vs in supports)
+    return tuple(VarPrime._from_vars(ideal.nvars, vs) for vs in supports)
 
 
 @dataclass(frozen=True)
@@ -522,8 +533,10 @@ def minimal_primes_squarefree(ideal: MonomialIdeal) -> tuple[VarPrime, ...]:
     the transversals without v up by 2^v adds v to each, and the minimal
     transversals are T minus the OR of those shifts.
 
-    Independent of the decomposition kernel: it reads the supports from
-    `ideal.gens` and shares no code with the components.
+    Independent of the decomposition kernel: it reads each support as the
+    set bits of a packed generator in `ideal._packed` (a squarefree field
+    holds 0 or 1, so vertex v is bit v * _W) and shares no code with the
+    components.
     """
     if ideal.is_zero:
         raise ValueError("the zero ideal has no minimal primes")
@@ -531,19 +544,22 @@ def minimal_primes_squarefree(ideal: MonomialIdeal) -> tuple[VarPrime, ...]:
         raise ValueError("minimal_primes_squarefree requires a squarefree ideal")
     nvars = ideal.nvars
     everything = (1 << (1 << nvars)) - 1
-    contains = [
-        everything // ((1 << (2 << v)) - 1) * (((1 << (1 << v)) - 1) << (1 << v))
+    # keyed by vertex v's bit in a packed generator: contains[v]
+    contains = {
+        1 << v * _W: everything // ((1 << (2 << v)) - 1) * (((1 << (1 << v)) - 1) << (1 << v))
         for v in range(nvars)
-    ]
+    }
     transversals = everything
-    for g in ideal.gens:
+    for g in ideal._packed:
         meets = 0
-        for i in g.support():
-            meets |= contains[i - 1]
+        while g:
+            low = g & -g
+            meets |= contains[low]
+            g ^= low
         transversals &= meets
     shrinkable = 0
-    for v in range(nvars):
-        shrinkable |= (transversals & ~contains[v]) << (1 << v)
+    for v, holding in enumerate(contains.values()):
+        shrinkable |= (transversals & ~holding) << (1 << v)
     minimal = transversals & ~shrinkable
     found = []
     while minimal:
@@ -552,4 +568,4 @@ def minimal_primes_squarefree(ideal: MonomialIdeal) -> tuple[VarPrime, ...]:
         found.append(tuple(v + 1 for v in range(nvars) if subset >> v & 1))
         minimal ^= low
     found.sort(key=lambda vs: (len(vs), vs))
-    return tuple(VarPrime(nvars, vs) for vs in found)
+    return tuple(VarPrime._from_vars(nvars, vs) for vs in found)

@@ -85,8 +85,15 @@ def _minimize_raw(blocks: dict[int, set[int]]) -> list[int]:
     guards = _guards(top.bit_length() // _W + 1)
     kept: list[int] = []
     for _, block in sorted(blocks.items()):
-        # the new block is built before it joins `kept`
-        kept += [t for t in block if not any(((t | guards) - g) & guards == guards for g in kept)]
+        new = []  # the new block joins `kept` only once it is built
+        for t in block:
+            high = t | guards
+            for g in kept:
+                if (high - g) & guards == guards:
+                    break
+            else:
+                new.append(t)
+        kept += new
     return kept
 
 
@@ -170,7 +177,12 @@ class MonomialIdeal:
 
     @property
     def is_squarefree(self) -> bool:
-        return all(g.is_squarefree for g in self.gens)
+        # every bit of every field but its lowest
+        high = _guards(self.nvars) // (_FIELD + 1) * (_FIELD - 1)
+        for g in self._packed:
+            if g & high:
+                return False
+        return True
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -195,11 +207,26 @@ class MonomialIdeal:
     def __len__(self) -> int:
         return len(self._packed)
 
+    def _texts(self) -> list[str]:
+        """The generators' canonical texts in canonical (degree, text) order."""
+        keyed = []
+        for g in self._packed:
+            degree, parts, rest = 0, [], g
+            while rest:
+                j = ((rest & -rest).bit_length() - 1) // _W  # the lowest variable left
+                e = rest >> j * _W & _FIELD
+                rest ^= e << j * _W
+                degree += e
+                parts.append(f"x{j + 1}^{e}" if e > 1 else f"x{j + 1}")
+            keyed.append((degree, "*".join(parts)))
+        keyed.sort()
+        return [text for _, text in keyed]
+
     def __repr__(self) -> str:
-        return f"MonomialIdeal(nvars={self.nvars}, gens={[str(g) for g in self.gens]})"
+        return f"MonomialIdeal(nvars={self.nvars}, gens={self._texts()})"
 
     def __str__(self) -> str:
-        return "<" + (", ".join(g.text() for g in self.gens) if self.gens else "0") + ">"
+        return "<" + (", ".join(self._texts()) if self._packed else "0") + ">"
 
     def _check_same_ring(self, other: MonomialIdeal) -> None:
         if self.nvars != other.nvars:
@@ -219,7 +246,10 @@ class MonomialIdeal:
         self._check_monomial(m)
         guards = _guards(self.nvars)
         u = _pack(m.exponents) | guards
-        return any((u - g) & guards == guards for g in self._packed)
+        for g in self._packed:
+            if (u - g) & guards == guards:
+                return True
+        return False
 
     def __contains__(self, m: Monomial) -> bool:
         return self.contains(m)
@@ -227,7 +257,14 @@ class MonomialIdeal:
     def is_subset(self, other: MonomialIdeal) -> bool:
         self._check_same_ring(other)
         guards, theirs = _guards(self.nvars), other._packed
-        return all(any(((u | guards) - g) & guards == guards for g in theirs) for u in self._packed)
+        for u in self._packed:
+            high = u | guards
+            for g in theirs:
+                if (high - g) & guards == guards:
+                    break
+            else:
+                return False
+        return True
 
     # -- algebra ---------------------------------------------------------------
 
@@ -282,8 +319,10 @@ class MonomialIdeal:
         lcms: set[int] = set()
         for u in self._packed:
             high = u | guards
-            if any((high - v) & guards == guards for v in theirs):
-                inside.append(u)
+            for v in theirs:
+                if (high - v) & guards == guards:
+                    inside.append(u)
+                    break
             else:
                 lcms.update([v + _excess(u, v, guards) for v in theirs])
         kept: list[int] = []
@@ -293,7 +332,10 @@ class MonomialIdeal:
                 kept.append(inside[below])
                 below += 1
             high = t | guards
-            if not any((high - g) & guards == guards for g in kept):
+            for g in kept:
+                if (high - g) & guards == guards:
+                    break
+            else:
                 kept.append(t)
         return MonomialIdeal._from_packed(self.nvars, kept + inside[below:])
 
@@ -303,19 +345,27 @@ class MonomialIdeal:
         Raises ImproperIdeal if u lies in I (the colon would be the unit ideal).
         """
         self._check_monomial(u)
-        guards, v = _guards(self.nvars), _pack(u.exponents)
+        return self._colon(_pack(u.exponents), _guards(self.nvars))
+
+    def _colon(self, v: int, guards: int) -> MonomialIdeal:
         quots = _by_degree({_excess(g, v, guards) for g in self._packed})
         return MonomialIdeal._from_packed(self.nvars, _minimize_raw(quots))
 
     def colon_ideal(self, other: MonomialIdeal) -> MonomialIdeal:
+        """The intersection of the I : v over the generators v of `other`."""
         self._check_same_ring(other)
         if other.is_zero:
             raise ValueError("colon by the zero ideal is undefined")
+        guards = _guards(self.nvars)
         result = None
-        for v in other.gens:
-            piece = self.colon_monomial(v)
+        for v in other._packed:
+            piece = self._colon(v, guards)
             result = piece if result is None else result.intersect(piece)
         return result
 
     def radical(self) -> MonomialIdeal:
-        return MonomialIdeal(self.nvars, (g.squarefree_part() for g in self.gens))
+        # a field is nonzero iff adding _FIELD to it carries into its guard bit
+        guards = _guards(self.nvars)
+        fill = guards // (_FIELD + 1) * _FIELD
+        supports = [((g + fill) & guards) >> (_W - 1) for g in self._packed]
+        return MonomialIdeal._from_packed(self.nvars, _minimize_raw(_by_degree(supports)))

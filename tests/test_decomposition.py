@@ -21,6 +21,7 @@ from pathideal import (
     intersect_components,
     irreducible_decomposition,
     minimal_primes_squarefree,
+    predicted_ass,
     verify_witness,
 )
 from pathideal import decomposition, ideal
@@ -498,6 +499,27 @@ class TestVarPrime:
         with pytest.raises(ValueError) as raised:
             VarPrime(3, indices)
         assert str(raised.value) == message
+
+    def test_unvalidated_primes_equal_validated(self):
+        # predicted_ass, associated_primes and minimal_primes_squarefree build
+        # their primes through the unvalidated VarPrime._from_vars
+        def check(primes):
+            for p in primes:
+                validated = VarPrime(p.nvars, p.vars)
+                assert type(p.vars) is tuple
+                assert p == validated and hash(p) == hash(validated) and str(p) == str(validated)
+
+        for n in range(1, 13):
+            for t in range(1, (n + 1) // 2 + 1):
+                for k in range(1, t + 2):
+                    check(predicted_ass(n, t, k))
+        rng = Random(409)
+        for _ in range(80):
+            nvars = rng.randint(1, 8)
+            check(associated_primes(random_ideal(rng, nvars, 6, 3)))
+            squarefree = random_squarefree_ideal(rng, nvars, 5)
+            check(associated_primes(squarefree))
+            check(minimal_primes_squarefree(squarefree))
 
 
 class TestAsIdeal:

@@ -4,7 +4,7 @@ import time
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pathideal import (
     DimensionMismatch,
@@ -351,6 +351,38 @@ class TestProtocol:
         assert repr(I) == "MonomialIdeal(nvars=3, gens=['x1*x2', 'x3^2'])"
         assert str(MonomialIdeal.zero(3)) == "<0>"
         assert repr(MonomialIdeal.zero(3)) == "MonomialIdeal(nvars=3, gens=[])"
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.lists(
+                        st.sampled_from([0, 0, 1, 2, 3, EXPONENT_CAP]), min_size=n, max_size=n
+                    ).filter(any),
+                    max_size=6,
+                ),
+            )
+        ),
+        st.booleans(),
+    )
+    @example((12, [(0,) * 9 + (1, 0, 0), (0, 1) + (0,) * 10]), False)  # x10 sorts before x2
+    @example((3, []), False)
+    @example((3, []), True)
+    @example((4, [(EXPONENT_CAP, 0, 0, 0), (0, 2, 3, 0), (0, 0, 1, 1)]), True)
+    def test_packed_text_matches_monomials(self, shape, gens_first):
+        # str, repr and is_squarefree read the packed generators, whether or not gens was built
+        n, rows = shape
+        I = MonomialIdeal(n, [Monomial(r) for r in rows])
+        if gens_first:
+            I.gens
+        minimal = [Monomial(r) for r in naive_minimize([tuple(r) for r in rows])]
+        texts = [g.text() for g in sorted(minimal, key=lambda g: g.sort_key)]
+        assert str(I) == "<" + (", ".join(texts) or "0") + ">"
+        assert repr(I) == f"MonomialIdeal(nvars={n}, gens={texts})"
+        assert I.is_squarefree == all(g.is_squarefree for g in minimal)
+        assert (I._gens is not None) == gens_first
 
 
 small_ideals = st.integers(min_value=2, max_value=4).flatmap(
