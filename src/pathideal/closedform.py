@@ -9,12 +9,13 @@ module never computes a decomposition itself.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement, islice
 from math import comb
-from typing import Optional
+from typing import Iterator, Optional
 
-from .decomposition import IrreducibleComponent, VarPrime
+from .decomposition import DeadlineExceeded, IrreducibleComponent, VarPrime
 from .monomial import Monomial
 from .pathfamily import PathCase, ZeroIdealError, classify
 
@@ -73,16 +74,16 @@ def _parity_level(n: int, t: int, indices: tuple[int, ...]) -> Optional[int]:
     return level if level >= 1 and not odd and increasing and parity else None
 
 
-def _parity_index_lists(n: int, length: int) -> list[tuple[int, ...]]:
+def _parity_index_lists(n: int, length: int) -> Iterator[tuple[int, ...]]:
     """All increasing index lists i_1 < ... < i_length in [n] with i_j = j (mod 2).
 
     The bijection i_j = j + 2*a_j maps them onto the nondecreasing sequences a
     with entries in 0..(n - length)//2, in the same lexicographic order.
     """
-    return [
+    return (
         tuple(j + 2 * a for j, a in enumerate(combo, start=1))
         for combo in combinations_with_replacement(range((n - length) // 2 + 1), length)
-    ]
+    )
 
 
 def enumerate_parity_primes(n: int, t: int, level: int) -> tuple[ParityPrime, ...]:
@@ -99,7 +100,14 @@ def enumerate_parity_primes(n: int, t: int, level: int) -> tuple[ParityPrime, ..
     )
 
 
-def predicted_ass(n: int, t: int, k: int) -> tuple[VarPrime, ...]:
+# The number of index lists predicted_ass builds between two deadline checks:
+# a level of (24, 8, 8) alone holds 19,448 of them.
+_LISTS_PER_CHECK = 4096
+
+
+def predicted_ass(
+    n: int, t: int, k: int, *, deadline: Optional[float] = None
+) -> tuple[VarPrime, ...]:
     """The predicted set of associated primes of the k-th power, canonically ordered.
 
     One rule covers every nonzero regime: the primes on index lists
@@ -108,16 +116,24 @@ def predicted_ass(n: int, t: int, k: int) -> tuple[VarPrime, ...]:
     maximal prime, n = 2t - 1 the odd singletons and n = 2t the (odd, even)
     pairs.  Output is in `sort_key` order, by prime size (equivalently level),
     then lexicographically: the length grows with the level, and each level's
-    index lists come in lexicographic order.
+    index lists come in lexicographic order.  `deadline` is an optional
+    time.monotonic() timestamp, checked before every _LISTS_PER_CHECK index
+    lists; crossing it raises DeadlineExceeded.
     """
     if k < 1:
         raise ValueError("k must be positive")
     top = min(predicted_astab(n, t), k)
-    return tuple(
-        VarPrime._from_vars(n, idx)
-        for level in range(1, top + 1)
-        for idx in _parity_index_lists(n, n - 2 * t + 2 * level)
+    lists = chain.from_iterable(
+        _parity_index_lists(n, n - 2 * t + 2 * level) for level in range(1, top + 1)
     )
+    primes: list[VarPrime] = []
+    while True:
+        if deadline is not None and time.monotonic() > deadline:
+            raise DeadlineExceeded("prediction exceeded its time budget")
+        batch = [VarPrime._from_vars(n, idx) for idx in islice(lists, _LISTS_PER_CHECK)]
+        if not batch:
+            return tuple(primes)
+        primes += batch
 
 
 def _predicted_count(n: int, t: int, k: int) -> int:

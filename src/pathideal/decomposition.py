@@ -57,11 +57,12 @@ The generators are taken in their numeric order, which puts every generator
 on x_1..x_m before any that uses x_{m+1}; for a path ideal the generators of
 I(n, t)^k on x_1..x_{n-1} are exactly I(n-1, t)^k.  A DecompositionCache
 memoizes the decomposition of every such prefix, keyed on its packed
-generators and stored narrowed to its m variables, and a call resumes from
-the longest prefix it finds.  The surviving vectors are wrapped into
-IrreducibleComponent objects without re-validation (a vector holds each
-variable in range at most once, with a positive entry), and associated
-primes are read off as their distinct radicals (support sets).
+generators and stored as one bytes value, each component narrowed to its m
+variables, and a call resumes from the longest prefix it finds.  The
+surviving vectors are wrapped into IrreducibleComponent objects without
+re-validation (a vector holds each variable in range at most once, with a
+positive entry), and associated primes are read off as their distinct
+radicals (support sets).
 """
 
 from __future__ import annotations
@@ -82,9 +83,10 @@ from .monomial import EXPONENT_CAP, ExponentOverflow, Monomial
 DEFAULT_CACHE_SIZE = 1 << 16
 
 # Kernel data (see the module docstring): a prefix is a run of packed minimal
-# generators in numeric order; a component is a packed vector.
+# generators in numeric order; a component is a packed vector, and a memo
+# entry holds a prefix's components as fixed-size little-endian pieces.
 _Prefix = tuple[int, ...]
-_Components = tuple[int, ...]
+_Components = bytes
 
 WITNESS_IN_POWER = "u in I^k"
 WITNESS_COLON_TOO_BIG = "colon too big"
@@ -189,16 +191,19 @@ class DecompositionCache:
     """Bounded, thread-safe LRU memo from generator prefixes to their components.
 
     A key is the packed generators of an ideal on x_1..x_m in numeric order,
-    the same in any number of variables.  Its value is a tuple of that
-    ideal's components as packed kernel vectors (the module docstring has
-    the layout) narrowed to their first m fields, since every later field
-    holds _ABSENT; a call that resumes from it fills those fields back in
-    with _ABSENT for its own number of variables.  `irreducible_decomposition`
-    stores one entry per variable its generators reach and resumes from the
-    longest entry it finds, so a shared cache hands the decomposition of
-    I(n-1, t)^k to I(n, t)^k.  `misses` counts the lookups that found
-    nothing, `hits` those that resumed a call; the cap bounds memory, with
-    least-recently-used eviction.
+    the same in any number of variables.  Its value is one bytes object:
+    each of that ideal's components, a packed kernel vector (the module
+    docstring has the layout) narrowed to its first m fields, since every
+    later field holds _ABSENT, written as (m * _W + 7) // 8 little-endian
+    bytes, one after another.  One bytes value costs a fraction of a tuple
+    of ints, each an object of its own.  A call that resumes from it reads
+    the pieces back and fills the later fields in with _ABSENT for its own
+    number of variables.  `irreducible_decomposition` stores one entry per
+    variable its generators reach and resumes from the longest entry it
+    finds, so a shared cache hands the decomposition of I(n-1, t)^k to
+    I(n, t)^k.  `misses` counts the lookups that found nothing, `hits` those
+    that resumed a call; the cap bounds memory, with least-recently-used
+    eviction.
     """
 
     def __init__(self, maxsize: int = DEFAULT_CACHE_SIZE):
@@ -436,8 +441,13 @@ def irreducible_decomposition(
             stored = cache.get(packed[:i])
             if stored is not None:
                 m = _top(packed[i - 1])
+                size = (m * _W + 7) // 8
                 fill = _pack((0,) * m + (_ABSENT,) * (nvars - m))
-                start, live = i, [v + fill for v in stored]
+                start = i
+                live = [
+                    int.from_bytes(stored[b : b + size], "little") + fill
+                    for b in range(0, len(stored), size)
+                ]
                 break
     for i in range(start, len(packed)):
         if deadline is not None and time.monotonic() > deadline:
@@ -449,8 +459,12 @@ def irreducible_decomposition(
             if len(live) > _INDEX_WIDTH:
                 live = _Index(live, nvars)
         if i + 1 in cuts:
-            narrow = (1 << _top(packed[i]) * _W) - 1
-            cache.put(packed[: i + 1], tuple(v & narrow for v in live))
+            m = _top(packed[i])
+            narrow = (1 << m * _W) - 1
+            size = (m * _W + 7) // 8
+            # one join: building the value piece by piece is quadratic
+            pieces = [(v & narrow).to_bytes(size, "little") for v in live]
+            cache.put(packed[: i + 1], b"".join(pieces))
 
     shifts = [(j + 1, j * _W) for j in range(nvars)]
     powers_list = []

@@ -172,7 +172,7 @@ def verify_cell(
         # the ideal, and then the prediction, can each spend the budget on a large cell
         if time.monotonic() > deadline:
             raise DeadlineExceeded("building the ideal exceeded the cell budget")
-        predicted = predicted_ass(n, t, k)
+        predicted = predicted_ass(n, t, k, deadline=deadline)
         if time.monotonic() > deadline:
             raise DeadlineExceeded("prediction exceeded the cell budget")
         power = ideal.power(k, deadline=deadline)

@@ -1,5 +1,6 @@
 """Parity primes, predicted associated primes, stability, and witness formulas."""
 
+import time
 from itertools import combinations
 
 import pytest
@@ -25,6 +26,7 @@ from pathideal import (
     witness_monomial,
 )
 from pathideal.closedform import _parity_level, _predicted_count
+from pathideal.decomposition import DeadlineExceeded
 
 from helpers import paper_witness
 
@@ -180,6 +182,25 @@ class TestPredictedAss:
         for n, t, k in cells:
             assert _predicted_count(n, t, k) == len(predicted_ass(n, t, k)), (n, t, k)
         assert _predicted_count(24, 8, 8) == 56070
+
+    def test_past_deadline_raises(self):
+        with pytest.raises(DeadlineExceeded):
+            predicted_ass(5, 2, 2, deadline=time.monotonic() - 1.0)
+        assert predicted_ass(5, 2, 2, deadline=time.monotonic() + 60.0) == predicted_ass(5, 2, 2)
+
+    def test_deadline_read_every_few_thousand_lists(self, monkeypatch):
+        # levels 1 to 3 of this cell hold 19,448, 18,564 and 11,628 index lists,
+        # so a check per level would read the clock 8 times in all
+        reads = []
+        real_clock = time.monotonic
+
+        def clock():
+            reads.append(None)
+            return real_clock()
+
+        monkeypatch.setattr(time, "monotonic", clock)
+        primes = predicted_ass(24, 8, 8, deadline=real_clock() + 600.0)
+        assert len(primes) == 56070 and len(reads) >= len(primes) // 5000
 
 
 class TestStability:

@@ -179,6 +179,28 @@ class TestSplitting:
         for i in (0, 1, 2, 2, 1, 0):
             assert irreducible_decomposition(ideals[i], cache=shared) == fresh[i]
 
+    def test_memo_values_are_bytes_of_whole_components(self):
+        # an entry is one bytes value holding a fixed-size piece per component,
+        # narrowed to its prefix's variables; exponents at the cap fill a field
+        rng = Random(419)
+        cache = DecompositionCache()
+        for _ in range(30):
+            rows = [[rng.choice((0, 1, 2, EXPONENT_CAP)) for _ in range(7)] for _ in range(6)]
+            rows = [row for row in rows if any(row)]
+            top = [rng.choice((0, 1, EXPONENT_CAP)) for _ in range(7)] + [EXPONENT_CAP]
+            seven = MonomialIdeal(7, [Monomial(row) for row in rows])
+            eight = MonomialIdeal(8, [Monomial(row + [0]) for row in rows] + [Monomial(top)])
+            for I in (seven, eight):
+                fresh = irreducible_decomposition(I)
+                assert irreducible_decomposition(I, cache=cache) == fresh
+                assert irreducible_decomposition(I, cache=cache) == fresh
+                size = (decomposition._top(I._packed[-1]) * ideal._W + 7) // 8
+                assert len(cache._data[I._packed]) == len(fresh) * size
+        assert cache.hits >= 60
+        for key, value in cache._data.items():
+            size = (decomposition._top(key[-1]) * ideal._W + 7) // 8
+            assert isinstance(value, bytes) and value and len(value) % size == 0
+
     def test_either_step_alone_gives_the_same_components(self, monkeypatch):
         # the width that moves a call into the index changes nothing but speed
         rng = Random(211)

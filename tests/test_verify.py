@@ -20,14 +20,15 @@ from pathideal import (
     verify_cell,
 )
 from pathideal.cli import build_parser, main
-from pathideal.decomposition import DeadlineExceeded
+from pathideal.decomposition import WITNESS_IN_POWER, DeadlineExceeded, VarPrime
 from pathideal.ideal import MonomialIdeal
-from pathideal.pathfamily import ZeroIdealError
+from pathideal.pathfamily import ZeroIdealError, ind_ideal
 from pathideal.verify import (
     DEFAULT_CELL_BUDGET_SECONDS,
     ConfigError,
     METHOD_DECOMPOSITION,
     METHOD_WITNESS,
+    VERDICT_FAIL,
     VERDICT_PASS,
     VERDICT_SKIPPED,
     VERDICT_ZERO,
@@ -52,6 +53,19 @@ def skip_power(monkeypatch, skipped_k):
 
     monkeypatch.setattr(MonomialIdeal, "power", power)
     return deadlines
+
+
+def fault_primes(monkeypatch, faults):
+    """Make the engine's Ass set wrong on chosen powers: `faults` maps I(n,t)^k to
+    a change of its computed primes."""
+    real = verify.associated_primes
+
+    def faulty(power, **kwargs):
+        primes = real(power, **kwargs)
+        change = faults.get(power)
+        return primes if change is None else change(primes)
+
+    monkeypatch.setattr(verify, "associated_primes", faulty)
 
 
 @pytest.mark.parametrize("bad", [True, False, 0, 2.0])
@@ -116,7 +130,7 @@ class TestVerifyCell:
     def test_budget_spent_on_the_prediction_skips_the_power(self, monkeypatch):
         real_prediction = verify.predicted_ass
 
-        def slow_prediction(n, t, k):
+        def slow_prediction(n, t, k, *, deadline):
             time.sleep(0.05)
             return real_prediction(n, t, k)
 
@@ -140,6 +154,28 @@ class TestVerifyCell:
         assert report.verdict == VERDICT_SKIPPED
         assert predictions == []
         assert report.predicted_count == len(predicted_ass(9, 3, 3))
+
+    def test_budget_runs_out_inside_the_prediction(self, monkeypatch):
+        # the clock passes the deadline as the prediction starts: the prediction
+        # stops itself, and no power is built
+        real_prediction, stopped = verify.predicted_ass, []
+        now = [0.0]
+        monkeypatch.setattr(time, "monotonic", lambda: now[0])
+
+        def prediction(n, t, k, *, deadline):
+            now[0] = deadline + 1.0
+            try:
+                return real_prediction(n, t, k, deadline=deadline)
+            except DeadlineExceeded:
+                stopped.append((n, t, k))
+                raise
+
+        monkeypatch.setattr(verify, "predicted_ass", prediction)
+        powers = skip_power(monkeypatch, None)
+        report = verify_cell(24, 8, 8, budget_seconds=0.1)
+        assert report.verdict == VERDICT_SKIPPED and report.computed_primes is None
+        assert stopped == [(24, 8, 8)] and powers == []
+        assert report.predicted_count == 56070
 
     @pytest.mark.parametrize("budget", BAD_BUDGETS)
     def test_bad_budget_rejected(self, budget):
@@ -228,9 +264,9 @@ def test_chain_predicts_once_per_power(monkeypatch, chain, kmax):
     calls = []
     real_predicted_ass = verify.predicted_ass
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return real_predicted_ass(*args)
+        return real_predicted_ass(*args, **kwargs)
 
     monkeypatch.setattr(verify, "predicted_ass", counted)
     chain(6, 2, kmax)
@@ -276,6 +312,122 @@ class TestEmpiricalAstab:
         monkeypatch.setattr(verify, "verify_cell", no_cell)
         with pytest.raises(ZeroIdealError):
             empirical_astab(2, 2, 3)
+
+
+# a prime that breaks the parity rule i_j = j (mod 2), so no cell predicts it
+UNPREDICTED = VarPrime(5, (2, 3, 4))
+ONE_CELL = {"t_values": [2], "n_range": [5, 5], "k_range": [2, 2]}
+
+
+class TestFailurePaths:
+    """Faults injected into the engine or the witnesses must surface as FAIL."""
+
+    def test_missing_prime_fails_the_cell(self, monkeypatch):
+        predicted = predicted_ass(5, 2, 2)
+        fault_primes(monkeypatch, {ind_ideal(5, 2).power(2): lambda primes: primes[1:]})
+        report = verify_cell(5, 2, 2)
+        assert report.verdict == VERDICT_FAIL and report.computed_count == 4
+        assert report.missing == predicted[:1] == (VarPrime(5, (1, 2, 3)),)
+        assert report.extra == ()
+        record = report.to_record()
+        assert (record["verdict"], record["missing"], record["extra"]) == ("FAIL", [[1, 2, 3]], [])
+
+    def test_extra_prime_fails_the_cell(self, monkeypatch):
+        fault_primes(monkeypatch, {ind_ideal(5, 2).power(2): lambda primes: (*primes, UNPREDICTED)})
+        report = verify_cell(5, 2, 2)
+        assert report.verdict == VERDICT_FAIL and report.computed_count == 6
+        assert report.missing == () and report.extra == (UNPREDICTED,)
+        record = report.to_record()
+        assert (record["missing"], record["extra"]) == ([], [[2, 3, 4]])
+
+    @pytest.mark.parametrize(
+        "change, diff",
+        [
+            (lambda primes: primes[1:], "missing=[[1, 2, 3]] extra=[]"),
+            (lambda primes: (*primes, UNPREDICTED), "missing=[] extra=[[2, 3, 4]]"),
+        ],
+        ids=["missing", "extra"],
+    )
+    def test_wrong_prime_fails_the_scan(self, monkeypatch, change, diff):
+        fault_primes(monkeypatch, {ind_ideal(5, 2).power(2): change})
+        result = grid_scan(ONE_CELL)
+        assert result.exit_code == 1
+        doc = json.loads(result.structured)
+        assert doc["summary"] == {"cells": 1, "pass": 0, "fail": 1, "skipped": 0, "zero": 0}
+        assert doc["cells"] == [result.reports[0].to_record()]
+        assert doc["cells"][0]["verdict"] == "FAIL"
+        row = result.table.splitlines()[5]
+        assert row.split()[:5] == ["2", "5", "2", "CASE_GT_2T", "FAIL"]
+        assert row.endswith("  " + diff)
+        assert "summary: pass=0 fail=1 skipped=0 zero=0" in result.table
+
+    def test_witness_inside_the_power_fails(self, monkeypatch):
+        power = ind_ideal(5, 2).power(2)
+        monkeypatch.setattr(verify, "witness_monomial", lambda n, t, k, prime: power.gens[0])
+        report = verify_cell(5, 2, 2, METHOD_WITNESS)
+        assert report.verdict == VERDICT_FAIL
+        assert [(w.ok, w.reason) for w in report.witnesses] == [(False, WITNESS_IN_POWER)] * 5
+        assert report.to_record()["witnesses"][0]["reason"] == WITNESS_IN_POWER
+        result = grid_scan({**ONE_CELL, "method": METHOD_WITNESS})
+        assert result.exit_code == 1
+        assert result.table.splitlines()[5].endswith("  witnesses=5 failed=5")
+
+    def test_chain_that_loses_a_prime_breaks_persistence(self, monkeypatch):
+        fault_primes(monkeypatch, {ind_ideal(5, 2).power(3): lambda primes: primes[1:]})
+        reports = persistence_scan(5, 2, 3)
+        assert [(r.k, r.verdict, r.persistence) for r in reports] == [
+            (1, VERDICT_PASS, True),
+            (2, VERDICT_PASS, True),
+            (3, VERDICT_FAIL, False),
+        ]
+        assert reports[2].missing == (VarPrime(5, (1, 2, 3)),)
+
+    def test_chain_that_stabilizes_late_mismatches(self, monkeypatch):
+        # k = 2 loses the maximal prime, so the chain settles at k = 3, not 2
+        fault_primes(monkeypatch, {ind_ideal(5, 2).power(2): lambda primes: primes[:-1]})
+        result = empirical_astab(5, 2, 4)
+        assert result.chain_sizes == (4, 4, 5, 5)
+        assert (result.observed, result.predicted, result.matches) == (3, 2, False)
+
+
+class TestCliFailures:
+    """Under an injected fault every checking command exits 1."""
+
+    def test_ass(self, monkeypatch, capsys):
+        fault_primes(monkeypatch, {ind_ideal(5, 2).power(2): lambda primes: primes[1:]})
+        assert main(["ass", "--n", "5", "--t", "2", "--k", "2"]) == 1
+        out = capsys.readouterr().out
+        assert ": FAIL\n" in out and "  missing: <x1,x2,x3>\n" in out
+
+    def test_ass_witness(self, monkeypatch, capsys):
+        power = ind_ideal(5, 2).power(2)
+        monkeypatch.setattr(verify, "witness_monomial", lambda n, t, k, prime: power.gens[0])
+        assert main(["ass", "--n", "5", "--t", "2", "--k", "2", "--method", "witness"]) == 1
+        assert "5 checked, 5 failed" in capsys.readouterr().out
+
+    def test_persistence(self, monkeypatch, capsys):
+        fault_primes(monkeypatch, {ind_ideal(5, 2).power(3): lambda primes: primes[1:]})
+        args = ["persistence", "--n", "5", "--t", "2", "--kmax", "3"]
+        assert main(args) == 1
+        assert "persistence violated at k=[3]" in capsys.readouterr().out
+        assert main([*args, "--format", "structured"]) == 1
+        assert json.loads(capsys.readouterr().out)["violations"] == [[5, 2, 3]]
+
+    def test_astab(self, monkeypatch, capsys):
+        fault_primes(monkeypatch, {ind_ideal(5, 2).power(2): lambda primes: primes[:-1]})
+        args = ["astab", "--n", "5", "--t", "2", "--kmax", "4", "--format", "structured"]
+        assert main(args) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["observed"], doc["predicted"], doc["matches"]) == (3, 2, False)
+
+    def test_scan(self, monkeypatch, tmp_path, capsys):
+        fault_primes(monkeypatch, {ind_ideal(5, 2).power(2): lambda primes: primes[1:]})
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(ONE_CELL))
+        out = tmp_path / "report.json"
+        assert main(["scan", "--config", str(config), "--out", str(out)]) == 1
+        assert json.loads(out.read_text())["summary"]["fail"] == 1
+        assert "summary: pass=0 fail=1" in out.with_suffix(".txt").read_text()
 
 
 class TestConfig:
