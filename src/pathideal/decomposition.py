@@ -2,7 +2,7 @@
 
 The public functions take and return MonomialIdeal, Monomial and
 IrreducibleComponent objects.  The kernel runs on the packed integers of
-`ideal` (see its module docstring for the layout): the ideal's packed
+`ideal` (the `monomial` module docstring has the layout): the ideal's packed
 generators are read as they are, and the components are built once at the
 end.
 
@@ -73,12 +73,11 @@ from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import reduce
-from operator import lt
 from typing import Optional, Sequence
 
 # DeadlineExceeded and the packed layout are re-exported for existing importers.
-from .ideal import _FIELD, _W, DeadlineExceeded, MonomialIdeal, _guards, _pack, _unpack
-from .monomial import EXPONENT_CAP, ExponentOverflow, Monomial
+from .ideal import DeadlineExceeded, MonomialIdeal
+from .monomial import _FIELD, _W, EXPONENT_CAP, ExponentOverflow, Monomial, _guards, _pack, _unpack
 
 DEFAULT_CACHE_SIZE = 1 << 16
 
@@ -103,9 +102,6 @@ class VarPrime:
     def __post_init__(self):
         vs = tuple(self.vars)
         object.__setattr__(self, "vars", vs)
-        if vs and vs[0] >= 1 and vs[-1] <= self.nvars and all(map(lt, vs, vs[1:])):
-            return
-        # invalid: the checks below name the first fault
         if not vs:
             raise ValueError("a variable prime needs at least one variable")
         if any(not 1 <= v <= self.nvars for v in vs):

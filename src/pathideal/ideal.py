@@ -1,15 +1,6 @@
 """Monomial ideals as canonical minimal generating sets, with the full operation algebra.
 
-Packed layout: inside the package an exponent vector is one integer in which
-variable x_{j+1} owns the field of _W bits starting at bit j * _W.  The top
-bit of each field is a guard bit, clear in every packed value; the width
-comes from EXPONENT_CAP, so it is the same in every call.  With G the guard
-bits of all fields, a <= b componentwise iff ((b | G) - a) & G == G: no
-field borrows from its neighbour, and a field keeps its guard exactly when
-b's entry is at least a's.  And a <= b componentwise implies a <= b as
-integers.  A product is one integer addition.  The clipped difference
-max(a - b, 0) keeps the fields of (a | G) - b whose guard survives, and
-lcm(a, b) is b plus that difference.
+The generators are packed integers, in the layout of the `monomial` module docstring.
 """
 
 from __future__ import annotations
@@ -18,7 +9,8 @@ import time
 from functools import reduce
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .monomial import EXPONENT_CAP, DimensionMismatch, ExponentOverflow, Monomial
+from .monomial import _FIELD, _W, EXPONENT_CAP, DimensionMismatch, ExponentOverflow, Monomial
+from .monomial import _guards, _pack, _terms, _unpack
 
 
 class DeadlineExceeded(RuntimeError):
@@ -32,28 +24,6 @@ class ImproperIdeal(ValueError):
     minimization) whose result contains 1 raises instead of yielding a
     silently meaningless object.
     """
-
-
-# A field holds up to EXPONENT_CAP + 1 (the decomposition's marker of an unused
-# variable) below its guard bit.
-_W = (EXPONENT_CAP + 1).bit_length() + 1
-_FIELD = (1 << (_W - 1)) - 1
-
-
-def _pack(exponents: Sequence[int]) -> int:
-    value = 0
-    for e in reversed(exponents):
-        value = value << _W | e
-    return value
-
-
-def _unpack(value: int, nvars: int) -> tuple[int, ...]:
-    return tuple((value >> (j * _W)) & _FIELD for j in range(nvars))
-
-
-def _guards(nvars: int) -> int:
-    """The guard bits of the first nvars fields: the guard bit times 1 + 2^_W + ... ."""
-    return (_FIELD + 1) * (((1 << nvars * _W) - 1) // ((1 << _W) - 1))
 
 
 def _excess(a: int, b: int, guards: int) -> int:
@@ -141,7 +111,7 @@ class MonomialIdeal:
                 raise DimensionMismatch(
                     f"generator {g} has {g.nvars} variables, ideal has {nvars}"
                 )
-            blocks.setdefault(g.degree, set()).add(_pack(g.exponents))
+            blocks.setdefault(g.degree, set()).add(g._packed)
         self._store(nvars, _minimize_raw(blocks))
 
     def _store(self, nvars: int, minimal: Iterable[int]) -> MonomialIdeal:
@@ -209,18 +179,7 @@ class MonomialIdeal:
 
     def _texts(self) -> list[str]:
         """The generators' canonical texts in canonical (degree, text) order."""
-        keyed = []
-        for g in self._packed:
-            degree, parts, rest = 0, [], g
-            while rest:
-                j = ((rest & -rest).bit_length() - 1) // _W  # the lowest variable left
-                e = rest >> j * _W & _FIELD
-                rest ^= e << j * _W
-                degree += e
-                parts.append(f"x{j + 1}^{e}" if e > 1 else f"x{j + 1}")
-            keyed.append((degree, "*".join(parts)))
-        keyed.sort()
-        return [text for _, text in keyed]
+        return [text for _, text in sorted(_terms(self._packed))]
 
     def __repr__(self) -> str:
         return f"MonomialIdeal(nvars={self.nvars}, gens={self._texts()})"
@@ -245,7 +204,7 @@ class MonomialIdeal:
     def contains(self, m: Monomial) -> bool:
         self._check_monomial(m)
         guards = _guards(self.nvars)
-        u = _pack(m.exponents) | guards
+        u = m._packed | guards
         for g in self._packed:
             if (u - g) & guards == guards:
                 return True
@@ -345,7 +304,7 @@ class MonomialIdeal:
         Raises ImproperIdeal if u lies in I (the colon would be the unit ideal).
         """
         self._check_monomial(u)
-        return self._colon(_pack(u.exponents), _guards(self.nvars))
+        return self._colon(u._packed, _guards(self.nvars))
 
     def _colon(self, v: int, guards: int) -> MonomialIdeal:
         quots = _by_degree({_excess(g, v, guards) for g in self._packed})

@@ -1,16 +1,65 @@
-"""Exact arithmetic on monomials represented as non-negative integer exponent vectors."""
+"""Exact arithmetic on monomials represented as non-negative integer exponent vectors.
+
+Packed layout: inside the package an exponent vector is one integer in which
+variable x_{j+1} owns the field of _W bits starting at bit j * _W.  The top
+bit of each field is a guard bit, clear in every packed value; the width
+comes from EXPONENT_CAP, so it is the same in every call.  With G the guard
+bits of all fields, a <= b componentwise iff ((b | G) - a) & G == G: no
+field borrows from its neighbour, and a field keeps its guard exactly when
+b's entry is at least a's.  And a <= b componentwise implies a <= b as
+integers.  A product is one integer addition.  The clipped difference
+max(a - b, 0) keeps the fields of (a | G) - b whose guard survives, and
+lcm(a, b) is b plus that difference.
+"""
 
 from __future__ import annotations
 
 import re
-from typing import Iterable
+from typing import Iterable, Sequence
 
 # Exponents are plain Python ints, but anything past this cap is treated as a
 # bug: degrees in this package are tiny and a runaway exponent would silently
 # poison every downstream comparison.
 EXPONENT_CAP = 1 << 20
 
+# A field holds up to EXPONENT_CAP + 1 (the decomposition's marker of an unused
+# variable) below its guard bit.
+_W = (EXPONENT_CAP + 1).bit_length() + 1
+_FIELD = (1 << (_W - 1)) - 1
+
 _TERM_RE = re.compile(r"x(\d+)(?:\^(\d+))?$")
+
+
+def _pack(exponents: Sequence[int]) -> int:
+    value = 0
+    for e in reversed(exponents):
+        value = value << _W | e
+    return value
+
+
+def _unpack(value: int, nvars: int) -> tuple[int, ...]:
+    return tuple((value >> (j * _W)) & _FIELD for j in range(nvars))
+
+
+def _guards(nvars: int) -> int:
+    """The guard bits of the first nvars fields: the guard bit times 1 + 2^_W + ... ."""
+    return (_FIELD + 1) * (((1 << nvars * _W) - 1) // ((1 << _W) - 1))
+
+
+def _terms(values: Iterable[int]) -> list[tuple[int, str]]:
+    """(degree, text) of each packed vector: x_i^e for e > 1, x_i for e = 1, "1" if none."""
+    terms = []
+    for value in values:
+        degree, parts, rest, i = 0, [], value, 1
+        while rest:
+            e = rest & _FIELD
+            if e:
+                degree += e
+                parts.append(f"x{i}^{e}" if e > 1 else f"x{i}")
+            rest >>= _W
+            i += 1
+        terms.append((degree, "*".join(parts) or "1"))
+    return terms
 
 
 class DimensionMismatch(ValueError):
@@ -29,19 +78,22 @@ class Monomial:
     all-zeros vector is the unit monomial ``1``.
     """
 
-    __slots__ = ("exponents", "degree", "_hash", "_text")
+    __slots__ = ("exponents", "degree", "_packed", "_hash", "_text")
 
     def __init__(self, exponents: Iterable[int]):
         exps = tuple(exponents)
+        packed = shift = 0
         for e in exps:
             if not isinstance(e, int) or e < 0:
                 raise ValueError(f"exponents must be non-negative integers, got {e!r}")
             if e > EXPONENT_CAP:
                 raise ExponentOverflow(f"exponent {e} exceeds cap {EXPONENT_CAP}")
+            packed |= e << shift
+            shift += _W
         self.exponents = exps
         self.degree = sum(exps)
-        self._hash = None
-        self._text = None
+        self._packed = packed
+        self._hash = self._text = None
 
     # -- constructors ------------------------------------------------------
 
@@ -122,16 +174,9 @@ class Monomial:
 
     def text(self) -> str:
         """Canonical textual form: increasing indices, caret only for exponents > 1."""
-        t = self._text
-        if t is None:
-            parts = []
-            for i, e in enumerate(self.exponents, start=1):
-                if e == 1:
-                    parts.append(f"x{i}")
-                elif e > 1:
-                    parts.append(f"x{i}^{e}")
-            t = self._text = "*".join(parts) if parts else "1"
-        return t
+        if self._text is None:
+            self._text = _terms((self._packed,))[0][1]
+        return self._text
 
     # -- arithmetic --------------------------------------------------------
 

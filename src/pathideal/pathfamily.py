@@ -15,8 +15,8 @@ from math import comb
 from typing import NamedTuple, Optional
 
 from .decomposition import VarPrime
-from .ideal import _W, MonomialIdeal
-from .monomial import Monomial
+from .ideal import MonomialIdeal
+from .monomial import _W, Monomial
 
 # Independent-set counts grow binomially; verification targets n <= 10.
 MAX_PATH_VERTICES = 24

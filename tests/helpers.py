@@ -5,7 +5,8 @@ is raw divisibility over generator lists, minimization is the naive quadratic
 pass, equality is exhaustive membership agreement on a finite exponent box,
 witness primes come from enumerating all bounded colon quotients, minimal
 primes of a squarefree ideal come from a set-based drop-one-vertex search,
-and witness monomials are built as the paper's products of monomials.
+witness monomials are built as the paper's products of monomials, and the
+canonical text of a monomial is written from its exponent tuple.
 """
 
 from __future__ import annotations
@@ -35,6 +36,17 @@ def naive_member(exponent_tuples, monomial_exponents):
     return any(
         all(a <= b for a, b in zip(g, monomial_exponents)) for g in exponent_tuples
     )
+
+
+def reference_text(exponents) -> str:
+    """Canonical text from an exponent tuple: x_i^e for e > 1, x_i for e = 1, "1" if none."""
+    parts = []
+    for i, e in enumerate(exponents, start=1):
+        if e == 1:
+            parts.append(f"x{i}")
+        elif e > 1:
+            parts.append(f"x{i}^{e}")
+    return "*".join(parts) if parts else "1"
 
 
 def exponent_box(nvars, bound):

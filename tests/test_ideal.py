@@ -15,8 +15,9 @@ from pathideal import (
     ind_ideal,
 )
 from pathideal import ideal as ideal_module
+from pathideal import monomial as monomial_module
 from pathideal.decomposition import DeadlineExceeded
-from pathideal.monomial import EXPONENT_CAP
+from pathideal.monomial import EXPONENT_CAP, _pack, _unpack
 
 from helpers import (
     exponent_box,
@@ -24,6 +25,7 @@ from helpers import (
     naive_member,
     naive_minimize,
     random_ideal,
+    reference_text,
 )
 
 
@@ -383,6 +385,48 @@ class TestProtocol:
         assert repr(I) == f"MonomialIdeal(nvars={n}, gens={texts})"
         assert I.is_squarefree == all(g.is_squarefree for g in minimal)
         assert (I._gens is not None) == gens_first
+
+
+# 1-12 variables, so x10 sorts before x2; rows may be the unit monomial
+term_rows = st.integers(1, 12).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.lists(st.sampled_from([0, 0, 1, 2, 3, EXPONENT_CAP]), min_size=n, max_size=n),
+            max_size=6,
+        ),
+    )
+)
+
+
+class TestTermLayout:
+    @settings(deadline=None, max_examples=100)
+    @given(term_rows)
+    def test_monomials_carry_their_packed_value(self, shape):
+        assert monomial_module._W is ideal_module._W
+        n, rows = shape
+        for r in rows:
+            packed = Monomial(r)._packed
+            assert packed == _pack(r) and _unpack(packed, n) == tuple(r)
+
+    @settings(deadline=None, max_examples=200)
+    @given(term_rows)
+    @example((12, [(0,) * 9 + (1, 0, 0), (0, 1) + (0,) * 10]))  # x10 sorts before x2
+    @example((2, [(0, 0)]))  # the unit monomial, and the zero ideal
+    @example((4, [(EXPONENT_CAP, 0, 0, 0), (0, 2, 3, 0), (0, 0, 1, 1), (1, 0, 0, 1)]))
+    def test_one_formatter_matches_the_reference_text(self, shape):
+        # Monomial.text, str, repr and the gens all write their terms through one
+        # formatter over packed values; the reference writes from exponent tuples
+        n, rows = shape
+        for r in rows:
+            assert Monomial(r).text() == reference_text(r)
+        nonunit = [tuple(r) for r in rows if any(r)]
+        I = MonomialIdeal(n, [Monomial(r) for r in nonunit])
+        minimal = sorted(naive_minimize(nonunit), key=lambda e: (sum(e), reference_text(e)))
+        texts = [reference_text(e) for e in minimal]
+        assert str(I) == "<" + (", ".join(texts) or "0") + ">"
+        assert repr(I) == f"MonomialIdeal(nvars={n}, gens={texts})"
+        assert [g.text() for g in I.gens] == texts
 
 
 small_ideals = st.integers(min_value=2, max_value=4).flatmap(

@@ -1,0 +1,342 @@
+#!/usr/bin/env python3
+"""Mutation run: every listed one-line mutant of src/pathideal must fail its tests.
+
+A mutant replaces one piece of text, found exactly once and within one line,
+in one module of the package.  Each mutant names the test files expected to
+kill it.  The script copies `src`, `tests`, `pyproject.toml` and the
+reference scan the tests read to a temporary directory, checks that the
+unmutated copy passes every kill set, and then applies the mutants one at a
+time to the copy, running each kill set with `pytest -x` in a single child
+process, one after another (never a pool).  A mutant survives when its
+tests pass.
+
+    python tools/mutants.py
+
+Exit status: 0 when every mutant is killed, 1 when any survives, and 2 when
+the list is stale (a mutant's text is not found exactly once in its module,
+or spans more than one line) or the unmutated copy fails its kill sets.
+
+`_INDEX_WIDTH = 1` is left out on purpose: the list step and the bitset
+index give the same components, so that mutant is equivalent.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+VERIFY = "tests/test_verify.py"
+DECOMPOSITION = "tests/test_decomposition.py"
+IDEAL = "tests/test_ideal.py"
+MONOMIAL = "tests/test_monomial.py"
+CLOSEDFORM = "tests/test_closedform.py"
+GOLDEN_ALGEBRA = "tests/golden/test_golden_algebra.py"
+GOLDEN_CLI = "tests/golden/test_golden_cli.py"
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # a file under src/pathideal
+    old: str
+    new: str
+    kills: tuple[str, ...]  # test files, relative to the repository root
+
+
+MUTANTS = (
+    # the verifier's failure paths: a verifier that always says PASS
+    Mutant(
+        "verify_cell reports nothing missing",
+        "verify.py",
+        "report.missing = tuple(p for p in predicted if p not in found)",
+        "report.missing = ()",
+        (VERIFY,),
+    ),
+    Mutant(
+        "verify_cell reports nothing extra",
+        "verify.py",
+        "report.extra = tuple(p for p in computed if p not in expected)",
+        "report.extra = ()",
+        (VERIFY,),
+    ),
+    Mutant(
+        "decomposition method always ok",
+        "verify.py",
+        "ok = not report.missing and not report.extra",
+        "ok = True",
+        (VERIFY,),
+    ),
+    Mutant(
+        "witness method always ok",
+        "verify.py",
+        "ok = all(w.ok for w in outcomes)",
+        "ok = True",
+        (VERIFY,),
+    ),
+    Mutant(
+        "grid_scan always exits 0",
+        "verify.py",
+        'exit_code=1 if counts["fail"] else 0,',
+        "exit_code=0,",
+        (VERIFY,),
+    ),
+    Mutant(
+        "persistence_scan always persistent",
+        "verify.py",
+        "report.persistence = previous <= computed",
+        "report.persistence = True",
+        (VERIFY,),
+    ),
+    Mutant(
+        "empirical_astab reports the predicted index",
+        "verify.py",
+        "observed=None if k0 == kmax else k0,",
+        "observed=None if k0 == kmax else predicted,",
+        (VERIFY,),
+    ),
+    Mutant(
+        "_is_budget accepts NaN and infinity",
+        "verify.py",
+        "and math.isfinite(value)",
+        "and True",
+        (VERIFY, GOLDEN_CLI),
+    ),
+    Mutant(
+        "pathideal ass exits 0 on FAIL",
+        "cli.py",
+        "return 1 if report.verdict == VERDICT_FAIL else 0",
+        "return 0",
+        (VERIFY,),
+    ),
+    Mutant(
+        "pathideal persistence exits 0 on a violation",
+        "cli.py",
+        "return 1 if failed else 0",
+        "return 0",
+        (VERIFY,),
+    ),
+    Mutant(
+        "pathideal astab exits 0 on a mismatch",
+        "cli.py",
+        "return 1 if result.matches is False else 0",
+        "return 0",
+        (VERIFY,),
+    ),
+    Mutant(
+        "pathideal scan exits 0 on FAIL",
+        "cli.py",
+        "return result.exit_code",
+        "return 0",
+        (VERIFY,),
+    ),
+    # witness reasons, deadlines and the memo resume
+    Mutant(
+        "witness inside the power not detected",
+        "decomposition.py",
+        "if ik.contains(u):",
+        "if False:",
+        (DECOMPOSITION,),
+    ),
+    Mutant(
+        "colon too big not detected",
+        "decomposition.py",
+        "if not colon.is_subset(prime_ideal):",
+        "if False:",
+        (DECOMPOSITION,),
+    ),
+    Mutant(
+        "colon too small not detected",
+        "decomposition.py",
+        "if not prime_ideal.is_subset(colon):",
+        "if False:",
+        (DECOMPOSITION,),
+    ),
+    Mutant(
+        "decomposition ignores its deadline",
+        "decomposition.py",
+        'raise DeadlineExceeded("decomposition exceeded its time budget")',
+        "pass",
+        (DECOMPOSITION,),
+    ),
+    Mutant(
+        "prediction ignores its deadline",
+        "closedform.py",
+        'raise DeadlineExceeded("prediction exceeded its time budget")',
+        "pass",
+        (CLOSEDFORM,),
+    ),
+    Mutant(
+        "memo resumes from the shortest prefix",
+        "decomposition.py",
+        "for i in sorted(cuts, reverse=True):",
+        "for i in sorted(cuts):",
+        (DECOMPOSITION,),
+    ),
+    # intersection, the squarefree oracle, prime and component checks, counts
+    Mutant(
+        "intersect sweeps no inside generators",
+        "ideal.py",
+        "while below < len(inside) and inside[below] < t:",
+        "while False:",
+        (IDEAL, GOLDEN_ALGEBRA),
+    ),
+    Mutant(
+        "intersect drops inside generators",
+        "ideal.py",
+        "inside.append(u)",
+        "pass",
+        (IDEAL, GOLDEN_ALGEBRA),
+    ),
+    Mutant(
+        "intersect sweeps unsorted lcms",
+        "ideal.py",
+        "for t in sorted(lcms):",
+        "for t in lcms:",
+        (IDEAL, GOLDEN_ALGEBRA),
+    ),
+    Mutant(
+        "oracle shifts by v, not 2^v",
+        "decomposition.py",
+        "shrinkable |= (transversals & ~holding) << (1 << v)",
+        "shrinkable |= (transversals & ~holding) << v",
+        (DECOMPOSITION,),
+    ),
+    Mutant(
+        "oracle's contains[v] holds the subsets without v",
+        "decomposition.py",
+        "(((1 << (1 << v)) - 1) << (1 << v))",
+        "((1 << (1 << v)) - 1)",
+        (DECOMPOSITION,),
+    ),
+    Mutant(
+        "VarPrime has no upper range check",
+        "decomposition.py",
+        "if any(not 1 <= v <= self.nvars for v in vs):",
+        "if any(not 1 <= v for v in vs):",
+        (DECOMPOSITION,),
+    ),
+    Mutant(
+        "components get 0-based indices",
+        "decomposition.py",
+        "shifts = [(j + 1, j * _W) for j in range(nvars)]",
+        "shifts = [(j, j * _W) for j in range(nvars)]",
+        (DECOMPOSITION,),
+    ),
+    Mutant(
+        "one guard bit short",
+        "monomial.py",
+        "return (_FIELD + 1) * (((1 << nvars * _W) - 1) // ((1 << _W) - 1))",
+        "return (_FIELD + 1) * (((1 << (nvars - 1) * _W) - 1) // ((1 << _W) - 1))",
+        (IDEAL,),
+    ),
+    Mutant(
+        "predicted count off by one",
+        "closedform.py",
+        "return sum(comb((n - length) // 2 + length, length) for length in lengths)",
+        "return sum(comb((n - length) // 2 + length, length) for length in lengths) + 1",
+        (CLOSEDFORM,),
+    ),
+    # the term layout
+    Mutant(
+        "Monomial packs in the wrong variable order",
+        "monomial.py",
+        "        for e in exps:",
+        "        for e in reversed(exps):",
+        (IDEAL,),
+    ),
+    Mutant(
+        "a caret written for exponent 1",
+        "monomial.py",
+        'parts.append(f"x{i}^{e}" if e > 1 else f"x{i}")',
+        'parts.append(f"x{i}^{e}" if e >= 1 else f"x{i}")',
+        (MONOMIAL, IDEAL),
+    ),
+    Mutant(
+        "no caret for exponent 2",
+        "monomial.py",
+        'parts.append(f"x{i}^{e}" if e > 1 else f"x{i}")',
+        'parts.append(f"x{i}^{e}" if e > 2 else f"x{i}")',
+        (MONOMIAL, IDEAL),
+    ),
+    Mutant(
+        "terms sorted by support size, not degree",
+        "monomial.py",
+        "degree += e",
+        "degree += 1",
+        (IDEAL,),
+    ),
+    Mutant(
+        "contains reads a monomial without its guards",
+        "ideal.py",
+        "u = m._packed | guards",
+        "u = m._packed",
+        (IDEAL,),
+    ),
+)
+
+
+def run_pytest(copy: Path, files) -> subprocess.CompletedProcess:
+    """Run the test files on the copy in one child process, stopping at the first failure."""
+    # no bytecode: a mutant and its restored original can share a size and an mtime second
+    env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *files]
+    return subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True)
+
+
+def mutate(source: str, mutant: Mutant) -> str:
+    if "\n" in mutant.old + mutant.new:
+        raise LookupError(f"{mutant.name}: a mutant changes one line only")
+    if source.count(mutant.old) != 1:
+        raise LookupError(f"{mutant.name}: {mutant.old!r} is not in {mutant.module} exactly once")
+    return source.replace(mutant.old, mutant.new)
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="pathideal-mutants-") as tmp:
+        copy = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for tree in ("src", "tests"):
+            shutil.copytree(ROOT / tree, copy / tree, ignore=skip)
+        (copy / "perfbench").mkdir()
+        for name in ("pyproject.toml", "perfbench/reference.json"):
+            shutil.copy2(ROOT / name, copy / name)
+        package = copy / "src" / "pathideal"
+        originals = {m.module: (package / m.module).read_text() for m in MUTANTS}
+        try:
+            for mutant in MUTANTS:
+                mutate(originals[mutant.module], mutant)
+        except LookupError as exc:
+            print(f"stale mutant list: {exc}")
+            return 2
+        every_kill_set = sorted({f for m in MUTANTS for f in m.kills})
+        baseline = run_pytest(copy, every_kill_set)
+        if baseline.returncode != 0:
+            print(baseline.stdout[-4000:])
+            print("the unmutated copy fails its kill sets: " + " ".join(every_kill_set))
+            return 2
+        survivors = []
+        for mutant in MUTANTS:
+            target = package / mutant.module
+            target.write_text(mutate(originals[mutant.module], mutant))
+            start = time.monotonic()
+            try:
+                killed = run_pytest(copy, mutant.kills).returncode != 0
+            finally:
+                target.write_text(originals[mutant.module])
+            verdict = "killed  " if killed else "SURVIVED"
+            print(f"{verdict} {time.monotonic() - start:5.1f} s  {mutant.name}", flush=True)
+            if not killed:
+                survivors.append(mutant.name)
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
