@@ -58,7 +58,9 @@ on x_1..x_m before any that uses x_{m+1}; for a path ideal the generators of
 I(n, t)^k on x_1..x_{n-1} are exactly I(n-1, t)^k.  A DecompositionCache
 memoizes the decomposition of every such prefix, keyed on its packed
 generators and stored as one bytes value, each component narrowed to its m
-variables, and a call resumes from the longest prefix it finds.  The
+variables, and a call resumes from the longest prefix it finds.  A stored
+key holds the cache's canonical ints, one object per generator value, from
+a table the cache empties whenever it evicts an entry.  The
 surviving vectors are wrapped into IrreducibleComponent objects without
 re-validation (a vector holds each variable in range at most once, with a
 positive entry), and associated primes are read off as their distinct
@@ -183,6 +185,11 @@ class IrreducibleComponent:
         return "<" + ",".join(self.gens_text()) + ">"
 
 
+def _is_count(value) -> bool:
+    """A positive integer; booleans are ints to Python but not counts here."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 class DecompositionCache:
     """Bounded, thread-safe LRU memo from generator prefixes to their components.
 
@@ -197,16 +204,22 @@ class DecompositionCache:
     number of variables.  `irreducible_decomposition` stores one entry per
     variable its generators reach and resumes from the longest entry it
     finds, so a shared cache hands the decomposition of I(n-1, t)^k to
-    I(n, t)^k.  `misses` counts the lookups that found nothing, `hits` those
-    that resumed a call; the cap bounds memory, with least-recently-used
-    eviction.
+    I(n, t)^k.  A stored key is a tuple of the cache's canonical ints: a
+    table maps each generator value to the one int object that every stored
+    key holding that value shares, since the ideals of different calls bring
+    their own ints.  `misses` counts the lookups that found nothing, `hits`
+    those that resumed a call; the cap, an int of at least 1, bounds memory,
+    with least-recently-used eviction.  A put that evicts also empties the
+    table, so it never keeps an int that only evicted keys held.
     """
 
     def __init__(self, maxsize: int = DEFAULT_CACHE_SIZE):
-        if maxsize < 1:
-            raise ValueError("cache size must be positive")
+        # a NaN cap would never evict: len > nan is always false
+        if not _is_count(maxsize):
+            raise ValueError(f"cache size must be an int of at least 1, got {maxsize!r}")
         self.maxsize = maxsize
         self._data: OrderedDict[_Prefix, _Components] = OrderedDict()
+        self._canonical: dict[int, int] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -223,10 +236,13 @@ class DecompositionCache:
 
     def put(self, key: _Prefix, value: _Components) -> None:
         with self._lock:
+            canonical = self._canonical
+            key = tuple([canonical.setdefault(g, g) for g in key])
             self._data[key] = value
             self._data.move_to_end(key)
             while len(self._data) > self.maxsize:
                 self._data.popitem(last=False)
+                canonical.clear()
 
     def __len__(self) -> int:
         return len(self._data)
@@ -345,15 +361,14 @@ class _Index:
         """Replace the live components by those of (their intersection) + <g>; g != 1."""
         lowered = _lowered(g)
         fields, by_value, slots = self._fields, self._by_value, self._slots
-        # a component misses g when it lies above g in every field: above g's
-        # field on supp(g) (key > value iff key >= value + 1), and not 0 elsewhere
+        # a component misses g when it lies above g in every field.  Off supp(g)
+        # g's field is 0 and no component field is (each is at least 1), so only
+        # the fields of supp(g) are tested: key > value iff key >= value + 1
         missed = -1
         for j, _, value in lowered:
             missed &= _at_least(by_value[j], value + 1)
             if not missed:
                 return
-        for values in by_value:
-            missed &= ~values.get(0, 0)
         fresh = []
         rest = missed
         while rest:

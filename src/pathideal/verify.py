@@ -21,6 +21,7 @@ from .decomposition import (
     DeadlineExceeded,
     DecompositionCache,
     VarPrime,
+    _is_count,
     associated_primes,
     verify_witness,
 )
@@ -39,11 +40,6 @@ DEFAULT_CELL_BUDGET_SECONDS = 60.0
 
 class ConfigError(ValueError):
     """A scan configuration failed validation."""
-
-
-def _is_count(value) -> bool:
-    """A positive integer; booleans are ints to Python but not counts here."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 def _is_budget(value) -> bool:

@@ -258,6 +258,66 @@ class TestSplitting:
         assert irreducible_decomposition(I, cache=DecompositionCache(maxsize=2)) == unbounded
 
 
+class TestMemoKeys:
+    @pytest.mark.parametrize("maxsize", [float("nan"), float("inf"), 2.5, True, 0, -1])
+    def test_maxsize_must_be_an_int_of_at_least_one(self, maxsize):
+        with pytest.raises(ValueError, match="cache size"):
+            DecompositionCache(maxsize=maxsize)
+
+    def test_keys_hold_one_int_per_generator_value(self):
+        # each random ideal brings its own ints; the stored keys share one per value
+        rng = Random(503)
+        cache = DecompositionCache()
+        ideals = [random_ideal(rng, 5, 8, 1) for _ in range(80)]
+        for I in ideals:
+            irreducible_decomposition(I, cache=cache)
+            assert I._packed in cache._data
+        values = [g for key in cache._data for g in key]
+        assert len(values) > 2 * len(set(values))
+        assert len({id(g) for g in values}) == len(set(values))
+
+    def test_eviction_empties_the_table(self):
+        # a full cache keeps no canonical int that only evicted keys held
+        rng = Random(509)
+        cache = DecompositionCache(maxsize=4)
+        for _ in range(40):
+            irreducible_decomposition(random_ideal(rng, 6, 8, 3), cache=cache)
+            assert len(cache) <= 4
+            held = {id(g) for key in cache._data for g in key}
+            assert {id(g) for g in cache._canonical.values()} <= held
+
+    def test_index_never_holds_a_zero_field(self, monkeypatch):
+        # the index tests only the fields of supp(g) for a miss, which relies on no
+        # component field being 0: check every index after it is built and after each step
+        monkeypatch.setattr(decomposition, "_INDEX_WIDTH", 0)
+        build, step = _Index.__init__, _Index.add_generator
+        checked = []
+
+        def check(index):
+            assert not any(0 in values for values in index._by_value)
+            checked.append(index)
+
+        def checked_build(index, components, nvars):
+            build(index, components, nvars)
+            check(index)
+
+        def checked_step(index, g):
+            step(index, g)
+            check(index)
+
+        monkeypatch.setattr(_Index, "__init__", checked_build)
+        monkeypatch.setattr(_Index, "add_generator", checked_step)
+        rng = Random(601)
+        ideals = [
+            ind_ideal(n, t).power(k) for t in (2, 3) for n in range(2 * t - 1, 8) for k in (1, 2, 3)
+        ]
+        ideals += [random_ideal(rng, 6, 10, 3) for _ in range(60)]
+        cache = DecompositionCache()
+        for I in ideals:
+            assert irreducible_decomposition(I, cache=cache) == irreducible_decomposition(I)
+        assert len(checked) > 1000
+
+
 def assert_irredundant(comps, I):
     # no component contains another, and each one is needed for the intersection
     ideals = [c.as_ideal() for c in comps]
@@ -307,8 +367,9 @@ class TestPrune:
             assert sorted(out) == sorted([packed(1, _ABSENT, 2), packed(_ABSENT, 1, 2)])
 
 
-# every field value the kernel stores: a zero exponent, small ones, the cap, absent
-FIELDS = st.one_of(st.just(0), st.integers(1, 4), st.just(EXPONENT_CAP), st.just(_ABSENT))
+# every field value a component holds: small exponents, the cap, absent; never 0,
+# since a field is _ABSENT or lowered to a generator's positive exponent
+FIELDS = st.one_of(st.integers(1, 4), st.just(EXPONENT_CAP), st.just(_ABSENT))
 EXPONENTS = st.one_of(st.just(0), st.integers(1, 4), st.just(EXPONENT_CAP))
 
 
@@ -331,8 +392,8 @@ def step_reference(components, g):
     return {c for c in candidates if not any(d != c and leq(c, d) for d in candidates)}
 
 
-# every field value in increasing order
-RANKED = (0, 1, 2, 3, 4, EXPONENT_CAP, _ABSENT)
+# every component field value in increasing order
+RANKED = (1, 2, 3, 4, EXPONENT_CAP, _ABSENT)
 
 
 def antichain(draw, nvars, tries):
@@ -341,8 +402,8 @@ def antichain(draw, nvars, tries):
     total = draw(st.integers(2 * nvars, 4 * nvars))
     out = set()
     for _ in range(tries):
-        ranks = draw(st.lists(st.integers(0, 6), min_size=nvars - 1, max_size=nvars - 1))
-        if 0 <= total - sum(ranks) <= 6:
+        ranks = draw(st.lists(st.integers(0, 5), min_size=nvars - 1, max_size=nvars - 1))
+        if 0 <= total - sum(ranks) <= 5:
             out.add(tuple(RANKED[r] for r in ranks + [total - sum(ranks)]))
     return out
 

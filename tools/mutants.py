@@ -179,6 +179,35 @@ MUTANTS = (
         "for i in sorted(cuts):",
         (DECOMPOSITION,),
     ),
+    # the memo's keys and cap
+    Mutant(
+        "memo keys interned under the wrong value",
+        "decomposition.py",
+        "key = tuple([canonical.setdefault(g, g) for g in key])",
+        "key = tuple([canonical.setdefault(g >> 1, g) for g in key])",
+        (DECOMPOSITION,),
+    ),
+    Mutant(
+        "memo table kept on eviction",
+        "decomposition.py",
+        "canonical.clear()",
+        "pass",
+        (DECOMPOSITION,),
+    ),
+    Mutant(
+        "counts and the memo cap accept a bool",
+        "decomposition.py",
+        "return isinstance(value, int) and not isinstance(value, bool) and value >= 1",
+        "return isinstance(value, int) and value >= 1",
+        (DECOMPOSITION,),
+    ),
+    Mutant(
+        "counts and the memo cap accept NaN",
+        "decomposition.py",
+        "return isinstance(value, int) and not isinstance(value, bool) and value >= 1",
+        "return isinstance(value, (int, float)) and not isinstance(value, bool) and value >= 1",
+        (DECOMPOSITION,),
+    ),
     # intersection, the squarefree oracle, prime and component checks, counts
     Mutant(
         "intersect sweeps no inside generators",
