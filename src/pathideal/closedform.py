@@ -15,7 +15,7 @@ from itertools import chain, combinations_with_replacement, islice
 from math import comb
 from typing import Iterator, Optional
 
-from .decomposition import DeadlineExceeded, IrreducibleComponent, VarPrime
+from .decomposition import DeadlineExceeded, IrreducibleComponent, VarPrime, _is_count
 from .monomial import Monomial
 from .pathfamily import PathCase, ZeroIdealError, classify
 
@@ -120,8 +120,8 @@ def predicted_ass(
     time.monotonic() timestamp, checked before every _LISTS_PER_CHECK index
     lists; crossing it raises DeadlineExceeded.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
+    if not _is_count(k):
+        raise ValueError("k must be a positive integer")
     top = min(predicted_astab(n, t), k)
     lists = chain.from_iterable(
         _parity_index_lists(n, n - 2 * t + 2 * level) for level in range(1, top + 1)

@@ -18,14 +18,15 @@ intersection of the Q_j + <g>; and for a component Q that misses g (g lies
 outside Q), Q + <g> is the intersection of the copies of Q with the x_i
 entry lowered to g_i, one for each i in supp(g).  Each generator in turn
 keeps the components that contain it and replaces the others by their
-copies.  A kept component never contains a new one (it would contain the
-component the new one came from), and no two new components coincide
-(their sources would be comparable, or one would contain g).  So only a new
-component can be redundant, and it is dropped when it contains another live
-component.  This is complete: a pure-power component Q contains an
-intersection of others only if it contains one of them (the lcm of
-per-component witnesses outside Q stays outside Q), so what survives is
-irredundant.
+copies.  Each generator is minimal, so it lies outside the ideal of those
+before it, and some live component always misses it.  A kept component
+never contains a new one (it would contain the component the new one came
+from), and no two new components coincide (their sources would be
+comparable, or one would contain g).  So only a new component can be
+redundant, and it is dropped when it contains another live component.
+This is complete: a pure-power component Q contains an intersection of
+others only if it contains one of them (the lcm of per-component witnesses
+outside Q stays outside Q), so what survives is irredundant.
 
 Two facts name every live d that the copy c of a missed q lowered at x_i
 can lie below (c <= d, so c is dropped):
@@ -56,11 +57,8 @@ steps there.
 The generators are taken in their numeric order, which puts every generator
 on x_1..x_m before any that uses x_{m+1}; for a path ideal the generators of
 I(n, t)^k on x_1..x_{n-1} are exactly I(n-1, t)^k.  A DecompositionCache
-memoizes the decomposition of every such prefix, keyed on its packed
-generators and stored as one bytes value, each component narrowed to its m
-variables, and a call resumes from the longest prefix it finds.  A stored
-key holds the cache's canonical ints, one object per generator value, from
-a table the cache empties whenever it evicts an entry.  The
+memoizes the decomposition of every such prefix (its docstring has the
+format), and a call resumes from the longest prefix it finds.  The
 surviving vectors are wrapped into IrreducibleComponent objects without
 re-validation (a vector holds each variable in range at most once, with a
 positive entry), and associated primes are read off as their distinct
@@ -72,10 +70,9 @@ from __future__ import annotations
 import threading
 import time
 from bisect import bisect_left
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import reduce
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 # DeadlineExceeded and the packed layout are re-exported for existing importers.
 from .ideal import DeadlineExceeded, MonomialIdeal
@@ -106,6 +103,8 @@ class VarPrime:
         object.__setattr__(self, "vars", vs)
         if not vs:
             raise ValueError("a variable prime needs at least one variable")
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in vs):
+            raise ValueError(f"variable indices must be integers, got {vs}")
         if any(not 1 <= v <= self.nvars for v in vs):
             raise ValueError(f"variable indices {vs} out of range [1, {self.nvars}]")
         if any(a >= b for a, b in zip(vs, vs[1:])):
@@ -144,10 +143,12 @@ class IrreducibleComponent:
         if not items:
             raise ValueError("an irreducible component needs at least one variable power")
         for i, a in items:
-            if not 1 <= i <= self.nvars:
-                raise ValueError(f"variable index {i} out of range [1, {self.nvars}]")
-            if a < 1:
-                raise ValueError(f"pure power exponent must be >= 1, got x{i}^{a}")
+            if not (_is_count(i) and i <= self.nvars):
+                raise ValueError(f"variable index {i!r} must be an integer in [1, {self.nvars}]")
+            if not _is_count(a):
+                raise ValueError(f"pure power exponent must be an integer >= 1, got x{i}^{a!r}")
+            if a > EXPONENT_CAP:
+                raise ExponentOverflow(f"exponent {a} exceeds cap {EXPONENT_CAP}")
 
     @classmethod
     def _from_kernel(cls, nvars: int, powers: tuple[tuple[int, int], ...]) -> IrreducibleComponent:
@@ -169,11 +170,6 @@ class IrreducibleComponent:
 
     def as_ideal(self) -> MonomialIdeal:
         # pure powers of distinct variables are already minimal generators
-        for _, a in self.powers:
-            if not isinstance(a, int):
-                raise ValueError(f"exponents must be non-negative integers, got {a!r}")
-            if a > EXPONENT_CAP:
-                raise ExponentOverflow(f"exponent {a} exceeds cap {EXPONENT_CAP}")
         return MonomialIdeal._from_packed(
             self.nvars, (a << (i - 1) * _W for i, a in self.powers)
         )
@@ -191,58 +187,82 @@ def _is_count(value) -> bool:
 
 
 class DecompositionCache:
-    """Bounded, thread-safe LRU memo from generator prefixes to their components.
+    """Thread-safe memo from generator prefixes to their components, emptied when full.
 
-    A key is the packed generators of an ideal on x_1..x_m in numeric order,
-    the same in any number of variables.  Its value is one bytes object:
-    each of that ideal's components, a packed kernel vector (the module
+    `irreducible_decomposition` asks `resume` where to start and hands `store`
+    the live components at each cut, so the memo's format is this class's
+    alone.  A cut i of an ideal's packed generators ends the ideal or the
+    prefix packed[:i] of its generators on x_1..x_m (numeric order puts them
+    first), for some m below its top variable; a prefix is the same in any
+    number of variables.  `resume` looks the cuts up longest first, so a
+    shared cache hands the decomposition of I(n-1, t)^k to I(n, t)^k.
+
+    A value is one bytes object: each component, a kernel vector (the module
     docstring has the layout) narrowed to its first m fields, since every
     later field holds _ABSENT, written as (m * _W + 7) // 8 little-endian
-    bytes, one after another.  One bytes value costs a fraction of a tuple
-    of ints, each an object of its own.  A call that resumes from it reads
-    the pieces back and fills the later fields in with _ABSENT for its own
-    number of variables.  `irreducible_decomposition` stores one entry per
-    variable its generators reach and resumes from the longest entry it
-    finds, so a shared cache hands the decomposition of I(n-1, t)^k to
-    I(n, t)^k.  A stored key is a tuple of the cache's canonical ints: a
-    table maps each generator value to the one int object that every stored
-    key holding that value shares, since the ideals of different calls bring
-    their own ints.  `misses` counts the lookups that found nothing, `hits`
-    those that resumed a call; the cap, an int of at least 1, bounds memory,
-    with least-recently-used eviction.  A put that evicts also empties the
-    table, so it never keeps an int that only evicted keys held.
+    bytes, one after another; one bytes value costs a fraction of a tuple of
+    ints.  `resume` reads the pieces back and fills the later fields in with
+    _ABSENT.  A key is a tuple of the cache's canonical ints: a table maps
+    each generator value to the one int object that every stored key holding
+    it shares, since the ideals of different calls bring their own ints.
+
+    `misses` counts the lookups that found nothing, `hits` those that resumed
+    a call.  The cap, an int of at least 1, bounds memory: a store into a
+    full cache first empties both the entries and the table, so the table
+    never keeps an int that no stored key holds.
     """
 
     def __init__(self, maxsize: int = DEFAULT_CACHE_SIZE):
-        # a NaN cap would never evict: len > nan is always false
+        # a NaN cap would never empty the cache: len >= nan is always false
         if not _is_count(maxsize):
             raise ValueError(f"cache size must be an int of at least 1, got {maxsize!r}")
         self.maxsize = maxsize
-        self._data: OrderedDict[_Prefix, _Components] = OrderedDict()
+        self._data: dict[_Prefix, _Components] = {}
         self._canonical: dict[int, int] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
-    def get(self, key: _Prefix) -> Optional[_Components]:
-        with self._lock:
-            value = self._data.get(key)
-            if value is None:
-                self.misses += 1
-                return None
-            self._data.move_to_end(key)
-            self.hits += 1
-            return value
+    def resume(self, packed: _Prefix, nvars: int) -> tuple[set[int], int, Optional[list[int]]]:
+        """The cuts of `packed`, the longest stored one and its components in `nvars` variables.
 
-    def put(self, key: _Prefix, value: _Components) -> None:
+        Returns (cuts, start, live): `live` holds the components of
+        packed[:start] as kernel vectors, or is None, with start 0, when no
+        cut is stored.
+        """
+        # every m at or above the last generator's top variable would cut at the end
+        top = _top(packed[-1])
+        cuts = {bisect_left(packed, 1 << m * _W) for m in range(1, top)} - {0} | {len(packed)}
         with self._lock:
+            for start in sorted(cuts, reverse=True):
+                stored = self._data.get(packed[:start])
+                if stored is not None:
+                    self.hits += 1
+                    break
+                self.misses += 1
+            else:
+                return cuts, 0, None
+        m = _top(packed[start - 1])
+        size = (m * _W + 7) // 8
+        fill = _pack((0,) * m + (_ABSENT,) * (nvars - m))
+        return cuts, start, [
+            int.from_bytes(stored[b : b + size], "little") + fill
+            for b in range(0, len(stored), size)
+        ]
+
+    def store(self, prefix: _Prefix, components: Iterable[int]) -> None:
+        """Memoize the components of the ideal generated by `prefix`, which ends at a cut."""
+        m = _top(prefix[-1])
+        narrow = (1 << m * _W) - 1
+        size = (m * _W + 7) // 8
+        # one join: building the value piece by piece is quadratic
+        value = b"".join([(v & narrow).to_bytes(size, "little") for v in components])
+        with self._lock:
+            if len(self._data) >= self.maxsize:
+                self._data.clear()
+                self._canonical.clear()
             canonical = self._canonical
-            key = tuple([canonical.setdefault(g, g) for g in key])
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-                canonical.clear()
+            self._data[tuple([canonical.setdefault(g, g) for g in prefix])] = value
 
     def __len__(self) -> int:
         return len(self._data)
@@ -293,8 +313,6 @@ def _add_generator(components: list[int], g: int, guards: int) -> list[int]:
     missed = []
     for q in components:
         (kept if (high - q) & guards else missed).append(q)
-    if not missed:
-        return kept
     support = sum(field for _, field, _ in lowered)
     raised = [d | guards for d in components]
     for q in missed:
@@ -367,8 +385,6 @@ class _Index:
         missed = -1
         for j, _, value in lowered:
             missed &= _at_least(by_value[j], value + 1)
-            if not missed:
-                return
         fresh = []
         rest = missed
         while rest:
@@ -439,27 +455,12 @@ def irreducible_decomposition(
     nvars = ideal.nvars
     guards = _guards(nvars)
     packed = ideal._packed
-    start = 0
-    live: list[int] | _Index = [_pack((_ABSENT,) * nvars)]
     cuts: set[int] = set()
+    start, stored = 0, None
     if cache is not None:
-        # packed[:i] at a cut holds the generators on x_1..x_m (numeric order puts
-        # them first); the last cut ends the ideal.  Every m at or above the last
-        # generator's top variable would cut at the end.
-        top = _top(packed[-1])
-        cuts = {bisect_left(packed, 1 << m * _W) for m in range(1, top)} - {0} | {len(packed)}
-        for i in sorted(cuts, reverse=True):
-            stored = cache.get(packed[:i])
-            if stored is not None:
-                m = _top(packed[i - 1])
-                size = (m * _W + 7) // 8
-                fill = _pack((0,) * m + (_ABSENT,) * (nvars - m))
-                start = i
-                live = [
-                    int.from_bytes(stored[b : b + size], "little") + fill
-                    for b in range(0, len(stored), size)
-                ]
-                break
+        cuts, start, stored = cache.resume(packed, nvars)
+    # a stored prefix has at least one component; without one, start from the zero ideal
+    live: list[int] | _Index = stored or [_pack((_ABSENT,) * nvars)]
     for i in range(start, len(packed)):
         if deadline is not None and time.monotonic() > deadline:
             raise DeadlineExceeded("decomposition exceeded its time budget")
@@ -470,12 +471,7 @@ def irreducible_decomposition(
             if len(live) > _INDEX_WIDTH:
                 live = _Index(live, nvars)
         if i + 1 in cuts:
-            m = _top(packed[i])
-            narrow = (1 << m * _W) - 1
-            size = (m * _W + 7) // 8
-            # one join: building the value piece by piece is quadratic
-            pieces = [(v & narrow).to_bytes(size, "little") for v in live]
-            cache.put(packed[: i + 1], b"".join(pieces))
+            cache.store(packed[: i + 1], live)
 
     shifts = [(j + 1, j * _W) for j in range(nvars)]
     powers_list = []

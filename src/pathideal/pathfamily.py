@@ -14,7 +14,7 @@ from itertools import combinations
 from math import comb
 from typing import NamedTuple, Optional
 
-from .decomposition import VarPrime
+from .decomposition import VarPrime, _is_count
 from .ideal import MonomialIdeal
 from .monomial import _W, Monomial
 
@@ -43,8 +43,8 @@ class ZeroIdealError(ValueError):
 
 
 def classify(n: int, t: int) -> PathCase:
-    if n < 1 or t < 1:
-        raise ValueError("n and t must be positive")
+    if not (_is_count(n) and _is_count(t)):
+        raise ValueError("n and t must be positive integers")
     if t == 1:
         return PathCase.DEGENERATE_T1
     if n < 2 * t - 1:
@@ -81,11 +81,10 @@ def independent_sets(n: int, t: int) -> list[tuple[int, ...]]:
     Uses the gap bijection with t-subsets of [n - t + 1], which enumerates in
     lexicographic order without generating invalid candidates.
     """
-    if n < 1 or t < 1:
-        raise ValueError("n and t must be positive")
+    case = classify(n, t)  # checks n and t
     if n > MAX_PATH_VERTICES:
         raise ValueError(f"n={n} exceeds the enumeration cap {MAX_PATH_VERTICES}")
-    if n < 2 * t - 1:
+    if case is PathCase.ZERO:
         return []
     return [
         tuple(c + shift for shift, c in enumerate(combo))

@@ -119,6 +119,17 @@ class TestEnumerateParityPrimes:
 
 
 class TestPredictedAss:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 7.5, True, 0, -1])
+    def test_non_counts_rejected(self, bad):
+        # NaN and fractional parameters once gave a stability index and primes
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            predicted_ass(5, 2, bad)
+        for call in (predicted_astab, predicted_ntf):
+            with pytest.raises(ValueError, match="n and t must be positive integers"):
+                call(bad, 2)
+            with pytest.raises(ValueError, match="n and t must be positive integers"):
+                call(7, bad)
+
     def test_tight_case_constant_in_k(self):
         for k in (1, 2, 5):
             assert [p.vars for p in predicted_ass(3, 2, k)] == [(1,), (3,)]

@@ -286,6 +286,25 @@ class TestMemoKeys:
             held = {id(g) for key in cache._data for g in key}
             assert {id(g) for g in cache._canonical.values()} <= held
 
+    def test_store_into_a_full_cache_empties_it(self):
+        # three prefixes into a cache of two: the third store finds it full and
+        # empties the entries and the table before it stores
+        ideals = [ind_ideal(n, 2).power(2) for n in (4, 5, 6)]
+        cache = DecompositionCache(maxsize=2)
+        for n in (4, 5, 6):
+            prefix = ind_ideal(n, 2)._packed
+            cache.store(prefix, [_pack((1,) + (_ABSENT,) * (n - 1))])
+        assert len(cache) == 1
+        (key,) = cache._data
+        assert key == ind_ideal(6, 2)._packed
+        assert sorted(cache._canonical) == sorted(key)
+        assert {id(g) for g in cache._canonical.values()} == {id(g) for g in key}
+        cache = DecompositionCache(maxsize=2)
+        for I in ideals + ideals:
+            assert irreducible_decomposition(I, cache=cache) == irreducible_decomposition(I)
+            assert 1 <= len(cache) <= 2
+        assert cache.hits > 0
+
     def test_index_never_holds_a_zero_field(self, monkeypatch):
         # the index tests only the fields of supp(g) for a miss, which relies on no
         # component field being 0: check every index after it is built and after each step
@@ -583,6 +602,11 @@ class TestVarPrime:
             VarPrime(3, indices)
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize("indices", [(True, 2), (1.0, 2), (1, float("nan")), (1, 2.5)])
+    def test_non_integer_indices_rejected(self, indices):
+        with pytest.raises(ValueError, match="variable indices must be integers"):
+            VarPrime(3, indices)
+
     def test_unvalidated_primes_equal_validated(self):
         # predicted_ass, associated_primes and minimal_primes_squarefree build
         # their primes through the unvalidated VarPrime._from_vars
@@ -625,6 +649,14 @@ class TestAsIdeal:
         assert prime.as_ideal() == MonomialIdeal(
             n, [Monomial.variable(i, n) for i in prime.vars]
         )
+
+    @pytest.mark.parametrize(
+        "powers",
+        [((1, float("nan")),), ((1, 2.0),), ((1, True),), ((1.0, 2),), ((True, 2),), ((1, 0),)],
+    )
+    def test_non_integer_entries_rejected(self, powers):
+        with pytest.raises(ValueError):
+            IrreducibleComponent(2, powers)
 
     def test_power_past_cap_rejected(self):
         with pytest.raises(ExponentOverflow):

@@ -46,6 +46,15 @@ class TestClassify:
         with pytest.raises(ValueError):
             PathFamilyParams(3, 2, k=0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 7.5, True, 0, -1])
+    def test_non_counts_rejected(self, bad):
+        # a NaN or fractional n once fell through every comparison to a regime
+        for call in (classify, independent_sets, ind_ideal):
+            with pytest.raises(ValueError, match="n and t must be positive integers"):
+                call(bad, 2)
+            with pytest.raises(ValueError, match="n and t must be positive integers"):
+                call(7, bad)
+
 
 class TestIndependentSets:
     def test_small_example(self):

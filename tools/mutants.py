@@ -38,6 +38,7 @@ DECOMPOSITION = "tests/test_decomposition.py"
 IDEAL = "tests/test_ideal.py"
 MONOMIAL = "tests/test_monomial.py"
 CLOSEDFORM = "tests/test_closedform.py"
+PATHFAMILY = "tests/test_pathfamily.py"
 GOLDEN_ALGEBRA = "tests/golden/test_golden_algebra.py"
 GOLDEN_CLI = "tests/golden/test_golden_cli.py"
 
@@ -175,22 +176,36 @@ MUTANTS = (
     Mutant(
         "memo resumes from the shortest prefix",
         "decomposition.py",
-        "for i in sorted(cuts, reverse=True):",
-        "for i in sorted(cuts):",
+        "for start in sorted(cuts, reverse=True):",
+        "for start in sorted(cuts):",
+        (DECOMPOSITION,),
+    ),
+    Mutant(
+        "resume counts no miss",
+        "decomposition.py",
+        "self.misses += 1",
+        "pass",
         (DECOMPOSITION,),
     ),
     # the memo's keys and cap
     Mutant(
         "memo keys interned under the wrong value",
         "decomposition.py",
-        "key = tuple([canonical.setdefault(g, g) for g in key])",
-        "key = tuple([canonical.setdefault(g >> 1, g) for g in key])",
+        "self._data[tuple([canonical.setdefault(g, g) for g in prefix])] = value",
+        "self._data[tuple([canonical.setdefault(g >> 1, g) for g in prefix])] = value",
         (DECOMPOSITION,),
     ),
     Mutant(
-        "memo table kept on eviction",
+        "memo table kept when a full cache is emptied",
         "decomposition.py",
-        "canonical.clear()",
+        "self._canonical.clear()",
+        "pass",
+        (DECOMPOSITION,),
+    ),
+    Mutant(
+        "a full cache is not emptied",
+        "decomposition.py",
+        "self._data.clear()",
         "pass",
         (DECOMPOSITION,),
     ),
@@ -264,6 +279,13 @@ MUTANTS = (
         "return (_FIELD + 1) * (((1 << nvars * _W) - 1) // ((1 << _W) - 1))",
         "return (_FIELD + 1) * (((1 << (nvars - 1) * _W) - 1) // ((1 << _W) - 1))",
         (IDEAL,),
+    ),
+    Mutant(
+        "classify accepts NaN",
+        "pathfamily.py",
+        "if not (_is_count(n) and _is_count(t)):",
+        "if n < 1 or t < 1:",
+        (PATHFAMILY, CLOSEDFORM),
     ),
     Mutant(
         "predicted count off by one",
