@@ -29,13 +29,10 @@ from .monomial import DimensionMismatch, ExponentOverflow, Monomial
 from .pathfamily import (
     ComplementChecks,
     PathCase,
-    PathFamilyParams,
     ZeroIdealError,
     classify,
     complement_components,
-    generator_2t,
     ind_ideal,
-    independent_set_count,
     independent_sets,
     parity_complement_checks,
 )
@@ -66,13 +63,10 @@ __all__ = [
     "verify_witness",
     "minimal_primes_squarefree",
     "PathCase",
-    "PathFamilyParams",
     "ZeroIdealError",
     "classify",
     "independent_sets",
-    "independent_set_count",
     "ind_ideal",
-    "generator_2t",
     "complement_components",
     "parity_complement_checks",
     "ComplementChecks",

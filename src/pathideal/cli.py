@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 from . import __version__
 from .closedform import predicted_ass, predicted_astab, predicted_ntf
 from .decomposition import DeadlineExceeded, irreducible_decomposition
+from .monomial import _is_count
 from .pathfamily import PathCase, ZeroIdealError, classify, ind_ideal
 from .verify import (
     DEFAULT_CELL_BUDGET_SECONDS,
@@ -100,6 +101,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
+    if not _is_count(args.k):  # checked before a zero ideal returns early
+        raise ValueError("k must be a positive integer")
     case = classify(args.n, args.t)
     if case is PathCase.ZERO:
         _emit(

@@ -15,8 +15,8 @@ from itertools import chain, combinations_with_replacement, islice
 from math import comb
 from typing import Iterator, Optional
 
-from .decomposition import DeadlineExceeded, IrreducibleComponent, VarPrime, _is_count
-from .monomial import Monomial
+from .decomposition import DeadlineExceeded, IrreducibleComponent, VarPrime
+from .monomial import Monomial, _is_count
 from .pathfamily import PathCase, ZeroIdealError, classify
 
 __all__ = [
@@ -50,9 +50,11 @@ class ParityPrime:
     def __post_init__(self):
         idx = tuple(self.indices)
         object.__setattr__(self, "indices", idx)
+        if not all(_is_count(v) for v in (self.n, self.t, self.level)):
+            raise ValueError("n, t and level must be positive integers")
         if self.n < 2 * self.t:
             raise ValueError("parity primes require n >= 2t")
-        if not 1 <= self.level <= self.t:
+        if self.level > self.t:
             raise ValueError(f"level {self.level} out of range [1, {self.t}]")
         if _parity_level(self.n, self.t, idx) != self.level:
             raise ValueError(f"{idx} is not a level-{self.level} parity list for n={self.n}")
@@ -88,9 +90,9 @@ def _parity_index_lists(n: int, length: int) -> Iterator[tuple[int, ...]]:
 
 def enumerate_parity_primes(n: int, t: int, level: int) -> tuple[ParityPrime, ...]:
     """All parity primes for the given level, in lexicographic index order."""
-    if t < 1 or n < 1:
-        raise ValueError("n and t must be positive")
-    if not 1 <= level <= t:
+    if not all(_is_count(v) for v in (n, t, level)):
+        raise ValueError("n, t and level must be positive integers")
+    if level > t:
         raise ValueError(f"level {level} out of range [1, {t}]")
     if n < 2 * t or level > predicted_astab(n, t):
         raise ValueError("parity primes are enumerated for n > 2t, or n = 2t with level 1")
@@ -157,7 +159,8 @@ def predicted_astab(n: int, t: int) -> int:
 
 def predicted_stable_set(n: int, t: int) -> tuple[VarPrime, ...]:
     """The stable set of associated primes: the prediction at k = t."""
-    return predicted_ass(n, t, t)
+    # at k = predicted_astab(n, t) <= t, which checks n and t before k is read
+    return predicted_ass(n, t, predicted_astab(n, t))
 
 
 def predicted_ntf(n: int, t: int) -> bool:
@@ -177,10 +180,10 @@ class PredictedDecomposition:
 
 
 def predicted_decomposition_2t(t: int, k: int) -> PredictedDecomposition:
+    if not (_is_count(t) and _is_count(k)):
+        raise ValueError("t and k must be positive integers")
     if t < 2:
         raise ValueError("the two-variable component formula needs t >= 2")
-    if k < 1:
-        raise ValueError("k must be positive")
     n = 2 * t
     components = [
         IrreducibleComponent(n, ((i, r), (j, k + 1 - r)))
@@ -208,8 +211,8 @@ def witness_monomial(n: int, t: int, k: int, prime: VarPrime) -> Monomial:
           tail    = x_{i_1} x_{i_3} ... x_{i_{2L-3}},
       u = (x^A * block_1)^(k-L+1) * prod_{j=2}^{L-1} (x^A * block_j) * (x^A * tail).
     """
-    if k < 1:
-        raise ValueError("k must be positive")
+    if not _is_count(k):
+        raise ValueError("k must be a positive integer")
     astab = predicted_astab(n, t)  # raises for a zero ideal before the prime is read
     level = _parity_level(n, t, prime.vars) if prime.nvars == n else None
     if level is None or level > astab:

@@ -74,9 +74,12 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Optional, Sequence
 
-# DeadlineExceeded and the packed layout are re-exported for existing importers.
+# DeadlineExceeded is re-exported: cli.py, verify.py, closedform.py and four
+# test files import it from here, and tests/test_decomposition.py imports
+# _guards and _pack from here too.
 from .ideal import DeadlineExceeded, MonomialIdeal
-from .monomial import _FIELD, _W, EXPONENT_CAP, ExponentOverflow, Monomial, _guards, _pack, _unpack
+from .monomial import _FIELD, _W, EXPONENT_CAP, ExponentOverflow, Monomial
+from .monomial import _guards, _is_count, _pack
 
 DEFAULT_CACHE_SIZE = 1 << 16
 
@@ -101,6 +104,8 @@ class VarPrime:
     def __post_init__(self):
         vs = tuple(self.vars)
         object.__setattr__(self, "vars", vs)
+        if not _is_count(self.nvars):
+            raise ValueError(f"nvars must be a positive integer, got {self.nvars!r}")
         if not vs:
             raise ValueError("a variable prime needs at least one variable")
         if any(isinstance(v, bool) or not isinstance(v, int) for v in vs):
@@ -140,6 +145,8 @@ class IrreducibleComponent:
     def __post_init__(self):
         items = tuple(sorted(dict(self.powers).items()))
         object.__setattr__(self, "powers", items)
+        if not _is_count(self.nvars):
+            raise ValueError(f"nvars must be a positive integer, got {self.nvars!r}")
         if not items:
             raise ValueError("an irreducible component needs at least one variable power")
         for i, a in items:
@@ -179,11 +186,6 @@ class IrreducibleComponent:
 
     def __str__(self) -> str:
         return "<" + ",".join(self.gens_text()) + ">"
-
-
-def _is_count(value) -> bool:
-    """A positive integer; booleans are ints to Python but not counts here."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 class DecompositionCache:
@@ -525,8 +527,8 @@ def verify_witness(
 
     `power` may carry a precomputed I^k to avoid recomputation in sweeps.
     """
-    if k < 1:
-        raise ValueError("power exponent must be >= 1")
+    if not _is_count(k):
+        raise ValueError("k must be a positive integer")
     ik = power if power is not None else ideal.power(k)
     if ik.contains(u):
         return WitnessCheck(False, WITNESS_IN_POWER)

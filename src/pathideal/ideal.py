@@ -10,7 +10,7 @@ from functools import reduce
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .monomial import _FIELD, _W, EXPONENT_CAP, DimensionMismatch, ExponentOverflow, Monomial
-from .monomial import _guards, _pack, _terms, _unpack
+from .monomial import _guards, _is_count, _pack, _terms, _unpack
 
 
 class DeadlineExceeded(RuntimeError):
@@ -103,8 +103,8 @@ class MonomialIdeal:
     __slots__ = ("nvars", "_packed", "_gens", "_hash")
 
     def __init__(self, nvars: int, gens: Iterable[Monomial] = ()):
-        if nvars < 1:
-            raise ValueError("nvars must be positive")
+        if not _is_count(nvars):
+            raise ValueError(f"nvars must be a positive integer, got {nvars!r}")
         blocks: dict[int, set[int]] = {}
         for g in gens:
             if g.nvars != nvars:
@@ -248,8 +248,8 @@ class MonomialIdeal:
         the product loop and after every minimization; past it the build
         raises DeadlineExceeded.
         """
-        if k < 1:
-            raise ValueError("power exponent must be >= 1 (the unit ideal is not modeled)")
+        if not _is_count(k):
+            raise ValueError("k must be a positive integer (the unit ideal is not modeled)")
         if self.is_zero or k == 1:
             return self
         cur = self._packed

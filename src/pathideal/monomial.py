@@ -30,6 +30,15 @@ _FIELD = (1 << (_W - 1)) - 1
 _TERM_RE = re.compile(r"x(\d+)(?:\^(\d+))?$")
 
 
+def _is_count(value) -> bool:
+    """A positive integer; booleans are ints to Python but not counts here.
+
+    The one rule for every public count of the package (n, t, k, kmax,
+    level, nvars and the memo size): a value that fails it raises ValueError.
+    """
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def _pack(exponents: Sequence[int]) -> int:
     value = 0
     for e in reversed(exponents):
@@ -84,7 +93,7 @@ class Monomial:
         exps = tuple(exponents)
         packed = shift = 0
         for e in exps:
-            if not isinstance(e, int) or e < 0:
+            if not isinstance(e, int) or e < 0 or e.__class__ is bool:
                 raise ValueError(f"exponents must be non-negative integers, got {e!r}")
             if e > EXPONENT_CAP:
                 raise ExponentOverflow(f"exponent {e} exceeds cap {EXPONENT_CAP}")
@@ -193,8 +202,8 @@ class Monomial:
     __mul__ = mul
 
     def power(self, k: int) -> Monomial:
-        if k < 0:
-            raise ValueError("negative monomial power")
+        if not isinstance(k, int) or k < 0 or k.__class__ is bool:
+            raise ValueError(f"a monomial power must be a non-negative integer, got {k!r}")
         return Monomial(e * k for e in self.exponents)
 
     def divides(self, other: Monomial) -> bool:

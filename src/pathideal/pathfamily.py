@@ -8,15 +8,13 @@ exactly when n >= 2t - 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from math import comb
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
-from .decomposition import VarPrime, _is_count
+from .decomposition import VarPrime
 from .ideal import MonomialIdeal
-from .monomial import _W, Monomial
+from .monomial import _W, Monomial, _is_count
 
 # Independent-set counts grow binomially; verification targets n <= 10.
 MAX_PATH_VERTICES = 24
@@ -56,25 +54,6 @@ def classify(n: int, t: int) -> PathCase:
     return PathCase.CASE_GT_2T
 
 
-@dataclass(frozen=True)
-class PathFamilyParams:
-    """A grid cell: path length n, set size t, optional power exponent k."""
-
-    n: int
-    t: int
-    k: Optional[int] = None
-
-    def __post_init__(self):
-        if self.n < 1 or self.t < 1:
-            raise ValueError("n and t must be positive")
-        if self.k is not None and self.k < 1:
-            raise ValueError("k must be positive")
-
-    @property
-    def case(self) -> PathCase:
-        return classify(self.n, self.t)
-
-
 def independent_sets(n: int, t: int) -> list[tuple[int, ...]]:
     """All size-t independent sets of the path on n vertices, lexicographic.
 
@@ -99,31 +78,10 @@ def ind_ideal(n: int, t: int) -> MonomialIdeal:
     return MonomialIdeal._from_packed(n, (sum(1 << (v - 1) * _W for v in s) for s in sets))
 
 
-def independent_set_count(n: int, t: int) -> int:
-    """Closed-form count: C(n - t + 1, t)."""
-    if n < 2 * t - 1:
-        return 0
-    return comb(n - t + 1, t)
-
-
-def generator_2t(t: int, i: int) -> Monomial:
-    """The i-th minimal generator of the ideal for n = 2t.
-
-    It is x1*x3*...*x_{2i-1} times x_{2i+2}*x_{2i+4}*...*x_{2t}: the first i
-    odd positions followed by the trailing even positions.  i ranges over
-    0..t; i = 0 gives the all-even product, i = t the all-odd one.
-    """
-    if not 0 <= i <= t:
-        raise ValueError(f"generator index {i} out of range [0, {t}]")
-    odds = range(1, 2 * i, 2)
-    evens = range(2 * i + 2, 2 * t + 1, 2)
-    return Monomial.from_support(list(odds) + list(evens), 2 * t)
-
-
 def complement_components(n: int, prime: VarPrime) -> list[int]:
     """Sizes, left to right, of the runs of consecutive vertices missing from prime."""
-    if prime.nvars != n:
-        raise ValueError(f"prime {prime} lives on {prime.nvars} variables, not n={n}")
+    if not (_is_count(n) and prime.nvars == n):
+        raise ValueError(f"prime {prime} lives on {prime.nvars} variables, not n={n!r}")
     in_prime = set(prime.vars)
     sizes: list[int] = []
     run = 0
@@ -164,8 +122,8 @@ def parity_complement_checks(n: int, t: int, prime: VarPrime, level: int) -> Com
     """
     if classify(n, t) is PathCase.ZERO:
         raise ZeroIdealError(n, t)
-    if not 1 <= level <= t:
-        raise ValueError(f"level {level} out of range [1, {t}]")
+    if not (_is_count(level) and level <= t):
+        raise ValueError(f"level {level!r} must be an integer in [1, {t}]")
     if prime.nvars != n:
         raise ValueError(f"prime {prime} lives on {prime.nvars} variables, not n={n}")
 

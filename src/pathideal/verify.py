@@ -21,10 +21,10 @@ from .decomposition import (
     DeadlineExceeded,
     DecompositionCache,
     VarPrime,
-    _is_count,
     associated_primes,
     verify_witness,
 )
+from .monomial import _is_count
 from .pathfamily import MAX_PATH_VERTICES, PathCase, classify, ind_ideal
 
 METHOD_DECOMPOSITION = "decomposition"
@@ -212,7 +212,7 @@ def persistence_scan(
     contains the computed set at k-1 (vacuously true at k = 1).  The flag is
     None when either set is unknown: the cell at k or at k-1 is SKIPPED or ZERO.
     """
-    if not _is_count(kmax):
+    if not all(_is_count(v) for v in (n, t, kmax)):
         raise ValueError("n, t and kmax must be positive integers")
     if kmax < 2:
         raise ValueError("kmax must be at least 2")

@@ -24,7 +24,7 @@ from pathideal import (
     predicted_ass,
     verify_witness,
 )
-from pathideal import decomposition, ideal
+from pathideal import decomposition, ideal, monomial
 from pathideal.decomposition import (
     WITNESS_COLON_TOO_BIG,
     WITNESS_COLON_TOO_SMALL,
@@ -430,8 +430,13 @@ def antichain(draw, nvars, tries):
 class TestGuardBits:
     # the packed tests of both kernel steps against componentwise <=
     def test_layout_has_one_owner(self):
-        for name in ("_pack", "_unpack", "_guards", "_W", "_FIELD"):
-            assert getattr(decomposition, name) is getattr(ideal, name), name
+        # every layout name either module reads is monomial's own object
+        for module, names in (
+            (decomposition, ("_pack", "_guards", "_W", "_FIELD")),
+            (ideal, ("_pack", "_unpack", "_guards", "_W", "_FIELD")),
+        ):
+            for name in names:
+                assert getattr(module, name) is getattr(monomial, name), name
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())

@@ -60,6 +60,17 @@ class TestBasics:
         with pytest.raises(ValueError):
             Monomial((1, -1))
 
+    def test_boolean_exponents_rejected(self):
+        # exponents are non-negative integers, so 0 stays valid, but True is not 1
+        for build in (
+            lambda: Monomial([True, 0]),
+            lambda: Monomial([1, 0]).power(True),
+            lambda: Monomial.variable(1, 2, exponent=True),
+        ):
+            with pytest.raises(ValueError):
+                build()
+        assert Monomial([1, 0]).power(0) == Monomial.one(2)
+
 
 class TestText:
     @pytest.mark.parametrize(

@@ -8,14 +8,11 @@ from pathideal import (
     Monomial,
     MonomialIdeal,
     PathCase,
-    PathFamilyParams,
     VarPrime,
     ZeroIdealError,
     classify,
     complement_components,
-    generator_2t,
     ind_ideal,
-    independent_set_count,
     independent_sets,
     parity_complement_checks,
 )
@@ -38,13 +35,10 @@ class TestClassify:
     )
     def test_cases(self, n, t, case):
         assert classify(n, t) is case
-        assert PathFamilyParams(n, t).case is case
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             classify(0, 1)
-        with pytest.raises(ValueError):
-            PathFamilyParams(3, 2, k=0)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 7.5, True, 0, -1])
     def test_non_counts_rejected(self, bad):
@@ -70,7 +64,6 @@ class TestIndependentSets:
                 sets = independent_sets(n, t)
                 assert sets == brute_independent_sets(n, t)
                 assert len(sets) == comb(n - t + 1, t)
-                assert len(sets) == independent_set_count(n, t)
 
     def test_lexicographic_order(self):
         sets = independent_sets(8, 3)
@@ -116,23 +109,6 @@ class TestIndIdeal:
                 I = ind_ideal(n, t)
                 assert I == MonomialIdeal(n, built)
                 assert I.gens == MonomialIdeal(n, built).gens
-
-
-class TestGenerator2t:
-    def test_t2_ends(self):
-        assert generator_2t(2, 0).text() == "x2*x4"
-        assert generator_2t(2, 2).text() == "x1*x3"
-
-    def test_matches_ideal_generators(self):
-        for t in (2, 3, 4):
-            built = {generator_2t(t, i) for i in range(t + 1)}
-            assert built == set(ind_ideal(2 * t, t).gens)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            generator_2t(2, 3)
-        with pytest.raises(ValueError):
-            generator_2t(2, -1)
 
 
 class TestComplementComponents:

@@ -547,8 +547,8 @@ class TestGridScan:
 
     def test_default_scan_matches_reference_bytes(self):
         # the sha256 of the two files `pathideal scan --out` writes for the default grid
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
-        reference = json.loads(path.read_text(encoding="utf-8"))["scan_default"]["full"]
+        path = Path(__file__).resolve().parent / "golden" / "scan_default.sha256.json"
+        reference = json.loads(path.read_text(encoding="utf-8"))
         result = grid_scan({})
         for text, key in ((result.structured, "structured_sha256"), (result.table, "table_sha256")):
             assert hashlib.sha256(text.encode("utf-8")).hexdigest() == reference[key], key

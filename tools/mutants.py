@@ -3,12 +3,11 @@
 
 A mutant replaces one piece of text, found exactly once and within one line,
 in one module of the package.  Each mutant names the test files expected to
-kill it.  The script copies `src`, `tests`, `pyproject.toml` and the
-reference scan the tests read to a temporary directory, checks that the
-unmutated copy passes every kill set, and then applies the mutants one at a
-time to the copy, running each kill set with `pytest -x` in a single child
-process, one after another (never a pool).  A mutant survives when its
-tests pass.
+kill it.  The script copies `src`, `tests` and `pyproject.toml` to a
+temporary directory, checks that the unmutated copy passes every kill set,
+and then applies the mutants one at a time to the copy, running each kill
+set with `pytest -x` in a single child process, one after another (never a
+pool).  A mutant survives when its tests pass.
 
     python tools/mutants.py
 
@@ -39,6 +38,7 @@ IDEAL = "tests/test_ideal.py"
 MONOMIAL = "tests/test_monomial.py"
 CLOSEDFORM = "tests/test_closedform.py"
 PATHFAMILY = "tests/test_pathfamily.py"
+COUNTS = "tests/test_counts.py"
 GOLDEN_ALGEBRA = "tests/golden/test_golden_algebra.py"
 GOLDEN_CLI = "tests/golden/test_golden_cli.py"
 
@@ -209,19 +209,55 @@ MUTANTS = (
         "pass",
         (DECOMPOSITION,),
     ),
+    # the one count rule and the checks that read it
     Mutant(
-        "counts and the memo cap accept a bool",
-        "decomposition.py",
+        "_is_count accepts a bool",
+        "monomial.py",
         "return isinstance(value, int) and not isinstance(value, bool) and value >= 1",
         "return isinstance(value, int) and value >= 1",
-        (DECOMPOSITION,),
+        (COUNTS,),
     ),
     Mutant(
-        "counts and the memo cap accept NaN",
-        "decomposition.py",
+        "_is_count accepts floats",
+        "monomial.py",
         "return isinstance(value, int) and not isinstance(value, bool) and value >= 1",
         "return isinstance(value, (int, float)) and not isinstance(value, bool) and value >= 1",
-        (DECOMPOSITION,),
+        (COUNTS,),
+    ),
+    Mutant(
+        "MonomialIdeal.power skips its count check",
+        "ideal.py",
+        "if not _is_count(k):",
+        "if False:",
+        (COUNTS,),
+    ),
+    Mutant(
+        "MonomialIdeal skips its nvars check",
+        "ideal.py",
+        "if not _is_count(nvars):",
+        "if False:",
+        (COUNTS,),
+    ),
+    Mutant(
+        "verify_witness skips its count check",
+        "decomposition.py",
+        "if not _is_count(k):",
+        "if False:",
+        (COUNTS,),
+    ),
+    Mutant(
+        "pathideal decompose answers a zero cell before checking k",
+        "cli.py",
+        "if not _is_count(args.k):",
+        "if False:",
+        (COUNTS,),
+    ),
+    Mutant(
+        "Monomial accepts a boolean exponent",
+        "monomial.py",
+        "if not isinstance(e, int) or e < 0 or e.__class__ is bool:",
+        "if not isinstance(e, int) or e < 0:",
+        (MONOMIAL,),
     ),
     # intersection, the squarefree oracle, prime and component checks, counts
     Mutant(
@@ -355,9 +391,7 @@ def main() -> int:
         skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
         for tree in ("src", "tests"):
             shutil.copytree(ROOT / tree, copy / tree, ignore=skip)
-        (copy / "perfbench").mkdir()
-        for name in ("pyproject.toml", "perfbench/reference.json"):
-            shutil.copy2(ROOT / name, copy / name)
+        shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
         package = copy / "src" / "pathideal"
         originals = {m.module: (package / m.module).read_text() for m in MUTANTS}
         try:
