@@ -3,9 +3,6 @@
 __version__ = "0.1.0"
 
 from .closedform import (
-    ParityPrime,
-    PredictedDecomposition,
-    enumerate_parity_primes,
     predicted_ass,
     predicted_astab,
     predicted_decomposition_2t,
@@ -70,9 +67,6 @@ __all__ = [
     "complement_components",
     "parity_complement_checks",
     "ComplementChecks",
-    "ParityPrime",
-    "PredictedDecomposition",
-    "enumerate_parity_primes",
     "predicted_ass",
     "predicted_astab",
     "predicted_stable_set",

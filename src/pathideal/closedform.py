@@ -10,7 +10,6 @@ module never computes a decomposition itself.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement, islice
 from math import comb
 from typing import Iterator, Optional
@@ -20,9 +19,6 @@ from .monomial import Monomial, _is_count
 from .pathfamily import PathCase, ZeroIdealError, classify
 
 __all__ = [
-    "ParityPrime",
-    "PredictedDecomposition",
-    "enumerate_parity_primes",
     "predicted_ass",
     "predicted_astab",
     "predicted_stable_set",
@@ -30,37 +26,6 @@ __all__ = [
     "predicted_decomposition_2t",
     "witness_monomial",
 ]
-
-
-@dataclass(frozen=True)
-class ParityPrime:
-    """A variable prime on indices i_1 < ... < i_L in [n] with i_j = j (mod 2).
-
-    Every predicted associated prime has this shape, with L = n - 2t + 2*level.
-    `level` is the smallest power exponent at which the prime is associated.
-    This class holds the primes of n >= 2t, where levels run over 1..t; the
-    odd singletons of n = 2t - 1 follow the same rule at level 1.
-    """
-
-    n: int
-    t: int
-    level: int
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        idx = tuple(self.indices)
-        object.__setattr__(self, "indices", idx)
-        if not all(_is_count(v) for v in (self.n, self.t, self.level)):
-            raise ValueError("n, t and level must be positive integers")
-        if self.n < 2 * self.t:
-            raise ValueError("parity primes require n >= 2t")
-        if self.level > self.t:
-            raise ValueError(f"level {self.level} out of range [1, {self.t}]")
-        if _parity_level(self.n, self.t, idx) != self.level:
-            raise ValueError(f"{idx} is not a level-{self.level} parity list for n={self.n}")
-
-    def to_var_prime(self) -> VarPrime:
-        return VarPrime(self.n, self.indices)
 
 
 def _parity_level(n: int, t: int, indices: tuple[int, ...]) -> Optional[int]:
@@ -85,20 +50,6 @@ def _parity_index_lists(n: int, length: int) -> Iterator[tuple[int, ...]]:
     return (
         tuple(j + 2 * a for j, a in enumerate(combo, start=1))
         for combo in combinations_with_replacement(range((n - length) // 2 + 1), length)
-    )
-
-
-def enumerate_parity_primes(n: int, t: int, level: int) -> tuple[ParityPrime, ...]:
-    """All parity primes for the given level, in lexicographic index order."""
-    if not all(_is_count(v) for v in (n, t, level)):
-        raise ValueError("n, t and level must be positive integers")
-    if level > t:
-        raise ValueError(f"level {level} out of range [1, {t}]")
-    if n < 2 * t or level > predicted_astab(n, t):
-        raise ValueError("parity primes are enumerated for n > 2t, or n = 2t with level 1")
-    length = n - 2 * t + 2 * level
-    return tuple(
-        ParityPrime(n, t, level, idx) for idx in _parity_index_lists(n, length)
     )
 
 
@@ -168,18 +119,12 @@ def predicted_ntf(n: int, t: int) -> bool:
     return predicted_astab(n, t) == 1
 
 
-@dataclass(frozen=True)
-class PredictedDecomposition:
-    """The closed-form decomposition of the k-th power when n = 2t.
+def predicted_decomposition_2t(t: int, k: int) -> tuple[IrreducibleComponent, ...]:
+    """The closed-form decomposition of the k-th power when n = 2t, in `sort_key` order.
 
     Components are <x_i^r, x_j^{k+1-r}> over odd i < even j in [2t] and
     1 <= r <= k; there are exactly k * t(t+1)/2 of them.
     """
-
-    components: tuple[IrreducibleComponent, ...]
-
-
-def predicted_decomposition_2t(t: int, k: int) -> PredictedDecomposition:
     if not (_is_count(t) and _is_count(k)):
         raise ValueError("t and k must be positive integers")
     if t < 2:
@@ -190,7 +135,7 @@ def predicted_decomposition_2t(t: int, k: int) -> PredictedDecomposition:
         for i, j in _parity_index_lists(n, 2)
         for r in range(1, k + 1)
     ]
-    return PredictedDecomposition(tuple(sorted(components, key=lambda c: c.sort_key)))
+    return tuple(sorted(components, key=lambda c: c.sort_key))
 
 
 def witness_monomial(n: int, t: int, k: int, prime: VarPrime) -> Monomial:

@@ -78,7 +78,7 @@ from typing import Iterable, Optional, Sequence
 # test files import it from here, and tests/test_decomposition.py imports
 # _guards and _pack from here too.
 from .ideal import DeadlineExceeded, MonomialIdeal
-from .monomial import _FIELD, _W, EXPONENT_CAP, ExponentOverflow, Monomial
+from .monomial import _FIELD, _W, EXPONENT_CAP, DimensionMismatch, ExponentOverflow, Monomial
 from .monomial import _guards, _is_count, _pack
 
 DEFAULT_CACHE_SIZE = 1 << 16
@@ -281,10 +281,15 @@ _INDEX_WIDTH = 64
 def intersect_components(
     components: Sequence[IrreducibleComponent], nvars: int
 ) -> MonomialIdeal:
-    """Intersection of a family of components; zero components -> zero ideal is not
-    meaningful here, so an empty family is rejected."""
+    """Intersection of a family of components on `nvars` variables; zero components
+    -> zero ideal is not meaningful here, so an empty family is rejected."""
+    if not _is_count(nvars):
+        raise ValueError(f"nvars must be a positive integer, got {nvars!r}")
     if not components:
         raise ValueError("cannot intersect an empty family of components")
+    for c in components:
+        if c.nvars != nvars:
+            raise DimensionMismatch(f"a component has {c.nvars} variables, not {nvars}")
     ideals = [c.as_ideal() for c in components]
     return reduce(lambda a, b: a.intersect(b), ideals)
 

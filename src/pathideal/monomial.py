@@ -39,6 +39,13 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
+def _zeros(nvars: int) -> list[int]:
+    """The exponents of the unit monomial on nvars variables, a count."""
+    if not _is_count(nvars):
+        raise ValueError(f"nvars must be a positive integer, got {nvars!r}")
+    return [0] * nvars
+
+
 def _pack(exponents: Sequence[int]) -> int:
     value = 0
     for e in reversed(exponents):
@@ -108,20 +115,20 @@ class Monomial:
 
     @classmethod
     def one(cls, nvars: int) -> Monomial:
-        return cls((0,) * nvars)
+        return cls(_zeros(nvars))
 
     @classmethod
     def variable(cls, index: int, nvars: int, exponent: int = 1) -> Monomial:
+        exps = _zeros(nvars)
         if not 1 <= index <= nvars:
             raise ValueError(f"variable index {index} out of range [1, {nvars}]")
-        exps = [0] * nvars
         exps[index - 1] = exponent
         return cls(exps)
 
     @classmethod
     def from_support(cls, indices: Iterable[int], nvars: int) -> Monomial:
         """Squarefree monomial x^F for a set F of variable indices."""
-        exps = [0] * nvars
+        exps = _zeros(nvars)
         for i in indices:
             if not 1 <= i <= nvars:
                 raise ValueError(f"variable index {i} out of range [1, {nvars}]")
@@ -131,10 +138,10 @@ class Monomial:
     @classmethod
     def parse(cls, text: str, nvars: int) -> Monomial:
         """Parse the canonical textual form, e.g. ``x1*x3^2`` or ``1``."""
+        exps = _zeros(nvars)
         text = text.strip()
         if text == "1":
-            return cls.one(nvars)
-        exps = [0] * nvars
+            return cls(exps)
         last = 0
         for term in text.split("*"):
             m = _TERM_RE.match(term.strip())

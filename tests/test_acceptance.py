@@ -14,7 +14,7 @@ import pytest
 
 from pathideal import (
     DecompositionCache,
-    ParityPrime,
+    VarPrime,
     associated_primes,
     complement_components,
     grid_scan,
@@ -77,9 +77,9 @@ def test_criterion_2_closed_form_decomposition_identity():
     for t in (2, 3):
         for k in (1, 2, 3, 4):
             predicted = predicted_decomposition_2t(t, k)
-            count_ok = len(predicted.components) == k * t * (t + 1) // 2
+            count_ok = len(predicted) == k * t * (t + 1) // 2
             identity_ok = (
-                intersect_components(predicted.components, 2 * t)
+                intersect_components(predicted, 2 * t)
                 == ind_ideal(2 * t, t).power(k)
             )
             if not (count_ok and identity_ok):
@@ -161,7 +161,7 @@ def test_criterion_6_parity_prime_complement_checks_exhaustive():
                 for combo in combinations(range(1, n + 1), length):
                     if any((i - j) % 2 for j, i in enumerate(combo, start=1)):
                         continue
-                    prime = ParityPrime(n, t, level, combo).to_var_prime()
+                    prime = VarPrime(n, combo)
                     checks = parity_complement_checks(n, t, prime, level)
                     checked += 1
                     if not all(checks):

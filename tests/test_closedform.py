@@ -1,4 +1,4 @@
-"""Parity primes, predicted associated primes, stability, and witness formulas."""
+"""The parity rule, predicted associated primes, stability, and witness formulas."""
 
 import time
 from itertools import combinations
@@ -6,14 +6,12 @@ from itertools import combinations
 import pytest
 
 from pathideal import (
-    ParityPrime,
     PathCase,
     VarPrime,
     ZeroIdealError,
     associated_primes,
     classify,
     complement_components,
-    enumerate_parity_primes,
     ind_ideal,
     intersect_components,
     parity_complement_checks,
@@ -39,34 +37,18 @@ def brute_parity_tuples(n, length):
     ]
 
 
-class TestParityPrime:
+class TestParityLevel:
     def test_validation(self):
-        ParityPrime(5, 2, 1, (1, 2, 3))
-        with pytest.raises(ValueError):
-            ParityPrime(5, 2, 1, (2, 3, 4))  # parity broken at position 1
-        with pytest.raises(ValueError):
-            ParityPrime(5, 2, 1, (1, 2))  # wrong length
-        with pytest.raises(ValueError):
-            ParityPrime(5, 2, 3, (1, 2, 3, 4, 5, 6, 7))  # level beyond t
+        assert _parity_level(5, 2, (1, 2, 3)) == 1
+        assert _parity_level(5, 2, (2, 3, 4)) is None  # parity broken at position 1
+        assert _parity_level(5, 2, (1, 2)) is None  # wrong length
+        assert _parity_level(5, 2, (1, 2, 3, 4, 5, 6, 7)) is None  # indices beyond n
 
     @pytest.mark.parametrize("n, indices", [(2, (-1, 0)), (3, (-1, 0, 1))])
     def test_rejects_indices_below_one(self, n, indices):
         # the parity rule holds on these lists; only the range [1, n] fails
-        with pytest.raises(ValueError):
-            ParityPrime(n, 1, 1, indices)
+        assert _parity_level(n, 1, indices) is None
 
-    def test_complement_runs_are_even(self):
-        for t in (2, 3):
-            for n in range(2 * t, 11):
-                for level in range(1, t + 1):
-                    if n == 2 * t and level != 1:
-                        continue
-                    for p in enumerate_parity_primes(n, t, level):
-                        runs = complement_components(n, p.to_var_prime())
-                        assert all(s % 2 == 0 for s in runs)
-
-
-class TestParityLevel:
     def test_matches_brute_filter(self):
         for t in range(1, 6):
             for n in range(1, 11):
@@ -78,20 +60,19 @@ class TestParityLevel:
                         assert _parity_level(n, t, combo) == expected, (n, t, combo)
 
 
-class TestEnumerateParityPrimes:
+def indices_of_length(n, t, k, length):
+    return [p.vars for p in predicted_ass(n, t, k) if len(p.vars) == length]
+
+
+class TestPredictedAss:
     def test_five_two_level_one(self):
-        assert [p.indices for p in enumerate_parity_primes(5, 2, 1)] == [
-            (1, 2, 3),
-            (1, 2, 5),
-            (1, 4, 5),
-            (3, 4, 5),
-        ]
+        assert indices_of_length(5, 2, 2, 3) == [(1, 2, 3), (1, 2, 5), (1, 4, 5), (3, 4, 5)]
 
     def test_five_two_level_two(self):
-        assert [p.indices for p in enumerate_parity_primes(5, 2, 2)] == [(1, 2, 3, 4, 5)]
+        assert indices_of_length(5, 2, 2, 5) == [(1, 2, 3, 4, 5)]
 
     def test_six_two_level_one(self):
-        assert [p.indices for p in enumerate_parity_primes(6, 2, 1)] == [
+        assert indices_of_length(6, 2, 2, 4) == [
             (1, 2, 3, 4),
             (1, 2, 3, 6),
             (1, 2, 5, 6),
@@ -100,25 +81,25 @@ class TestEnumerateParityPrimes:
         ]
 
     def test_matches_brute_filter(self):
-        for (n, t) in [(5, 2), (6, 2), (7, 2), (7, 3), (8, 3), (9, 4)]:
-            for level in range(1, t + 1):
-                if n == 2 * t and level != 1:
-                    continue
+        # n = 2t - 1 and n = 2t have their single level; wider cells have t
+        cells = [(3, 2), (5, 3), (4, 2), (6, 3), (5, 2), (6, 2), (7, 2), (7, 3), (8, 3), (9, 4)]
+        for (n, t) in cells:
+            for level in range(1, predicted_astab(n, t) + 1):
                 length = n - 2 * t + 2 * level
-                assert [p.indices for p in enumerate_parity_primes(n, t, level)] == (
-                    brute_parity_tuples(n, length)
-                )
+                assert indices_of_length(n, t, t, length) == brute_parity_tuples(n, length)
 
-    def test_parameter_violations(self):
-        with pytest.raises(ValueError):
-            enumerate_parity_primes(4, 2, 2)  # n = 2t needs level 1
-        with pytest.raises(ValueError):
-            enumerate_parity_primes(3, 2, 1)  # n < 2t
-        with pytest.raises(ValueError):
-            enumerate_parity_primes(6, 2, 3)  # level > t
+    def test_levels_stop_at_astab_and_k(self):
+        # n = 2t has level 1 alone: no prime on all four variables at any k
+        assert indices_of_length(4, 2, 2, 4) == []
+        with pytest.raises(ValueError, match="is not a predicted associated prime"):
+            witness_monomial(4, 2, 2, VarPrime(4, (1, 2, 3, 4)))
+        # n = 2t - 1: the odd singletons, at level 1
+        assert indices_of_length(3, 2, 1, 1) == [(1,), (3,)]
+        assert [p.vars for p in predicted_ass(5, 3, 1)] == [(1,), (3,), (5,)]
+        # n > 2t: levels run up to t, so k = t + 1 adds nothing
+        assert predicted_ass(6, 2, 3) == predicted_ass(6, 2, 2)
+        assert max(len(p.vars) for p in predicted_ass(6, 2, 3)) == 6 - 4 + 2 * 2
 
-
-class TestPredictedAss:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 7.5, True, 0, -1])
     def test_non_counts_rejected(self, bad):
         # NaN and fractional parameters once gave a stability index and primes
@@ -233,21 +214,31 @@ class TestStability:
         with pytest.raises(ZeroIdealError):
             predicted_astab(3, 3)
 
+    def test_complement_runs_are_even(self):
+        for t in (2, 3):
+            for n in range(2 * t, 11):
+                for p in predicted_stable_set(n, t):
+                    level = (len(p.vars) - (n - 2 * t)) // 2
+                    assert 1 <= level <= predicted_astab(n, t)
+                    assert all(s % 2 == 0 for s in complement_components(n, p))
+
 
 class TestPredictedDecomposition:
     def test_t2_k1_components(self):
-        pd = predicted_decomposition_2t(2, 1)
-        assert {tuple(c.powers) for c in pd.components} == {
+        components = predicted_decomposition_2t(2, 1)
+        assert isinstance(components, tuple)
+        assert [tuple(c.powers) for c in components] == [
             ((1, 1), (2, 1)),
             ((1, 1), (4, 1)),
             ((3, 1), (4, 1)),
-        }
-        assert intersect_components(pd.components, 4) == ind_ideal(4, 2)
+        ]
+        assert intersect_components(components, 4) == ind_ideal(4, 2)
 
     def test_t2_k2_intersection(self):
-        pd = predicted_decomposition_2t(2, 2)
-        assert len(pd.components) == 6
-        assert intersect_components(pd.components, 4) == ind_ideal(4, 2).power(2)
+        components = predicted_decomposition_2t(2, 2)
+        assert len(components) == 6
+        assert list(components) == sorted(components, key=lambda c: c.sort_key)
+        assert intersect_components(components, 4) == ind_ideal(4, 2).power(2)
 
     def test_component_count_formula(self):
         for t in (2, 3, 4):
@@ -259,7 +250,7 @@ class TestPredictedDecomposition:
             ]
             assert len(pairs) == t * (t + 1) // 2
             for k in (1, 2, 3):
-                assert len(predicted_decomposition_2t(t, k).components) == k * len(pairs)
+                assert len(predicted_decomposition_2t(t, k)) == k * len(pairs)
 
     def test_parameter_violations(self):
         with pytest.raises(ValueError):
@@ -345,9 +336,6 @@ class TestAgainstEngine:
     def test_parity_primes_pass_complement_checks(self):
         for t in (2, 3):
             for n in range(2 * t, 9):
-                for level in range(1, t + 1):
-                    if n == 2 * t and level != 1:
-                        continue
-                    for p in enumerate_parity_primes(n, t, level):
-                        checks = parity_complement_checks(n, t, p.to_var_prime(), level)
-                        assert checks == (True, True, True)
+                for p in predicted_stable_set(n, t):
+                    level = (len(p.vars) - (n - 2 * t)) // 2
+                    assert parity_complement_checks(n, t, p, level) == (True, True, True)

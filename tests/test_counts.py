@@ -11,15 +11,15 @@ import pytest
 from pathideal import (
     DecompositionCache,
     IrreducibleComponent,
+    Monomial,
     MonomialIdeal,
-    ParityPrime,
     VarPrime,
     classify,
     complement_components,
     empirical_astab,
-    enumerate_parity_primes,
     ind_ideal,
     independent_sets,
+    intersect_components,
     parity_complement_checks,
     persistence_scan,
     predicted_ass,
@@ -47,8 +47,6 @@ CALLS = [
     ("predicted_astab", predicted_astab, (5, 2), (0, 1)),
     ("predicted_stable_set", predicted_stable_set, (5, 2), (0, 1)),
     ("predicted_ntf", predicted_ntf, (5, 2), (0, 1)),
-    ("enumerate_parity_primes", enumerate_parity_primes, (5, 2, 1), (0, 1, 2)),
-    ("ParityPrime", ParityPrime, (5, 2, 1, (1, 2, 3)), (0, 1, 2)),
     ("predicted_decomposition_2t", predicted_decomposition_2t, (2, 2), (0, 1)),
     ("witness_monomial", witness_monomial, (5, 2, 1, PRIME), (0, 1, 2)),
     ("VarPrime", VarPrime, (1, (1,)), (0,)),
@@ -60,8 +58,18 @@ CALLS = [
         (ind_ideal(5, 2), 1, WITNESS, PRIME),
         (1,),
     ),
+    (
+        "intersect_components",
+        intersect_components,
+        ([IrreducibleComponent(1, ((1, 2),))], 1),
+        (1,),
+    ),
     ("MonomialIdeal", MonomialIdeal, (1,), (0,)),
     ("MonomialIdeal.power", ind_ideal(5, 2).power, (1,), (0,)),
+    ("Monomial.one", Monomial.one, (1,), (0,)),
+    ("Monomial.variable", Monomial.variable, (1, 1), (1,)),
+    ("Monomial.from_support", Monomial.from_support, ((), 1), (1,)),
+    ("Monomial.parse", Monomial.parse, ("1", 1), (1,)),
     ("complement_components", complement_components, (1, VarPrime(1, (1,))), (0,)),
     ("parity_complement_checks", parity_complement_checks, (5, 2, PRIME, 1), (0, 1, 3)),
     ("verify_cell", verify_cell, (5, 2, 2), (0, 1, 2)),

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from pathideal import (
     DecompositionCache,
+    DimensionMismatch,
     IrreducibleComponent,
     Monomial,
     MonomialIdeal,
@@ -115,6 +116,13 @@ class TestSplitting:
             I = random_ideal(rng, 4, 4, 3)
             comps = irreducible_decomposition(I)
             assert intersect_components(comps, I.nvars) == I
+
+    def test_intersection_reads_its_nvars(self):
+        # a component on 3 variables is not a component of the 7-variable ring
+        with pytest.raises(DimensionMismatch):
+            intersect_components([IrreducibleComponent(3, ((1, 1),))], 7)
+        with pytest.raises(ValueError, match="empty family"):
+            intersect_components([], 3)
 
     def test_removing_any_component_enlarges_intersection(self):
         for I in (ind_ideal(5, 2).power(2), ind_ideal(4, 2).power(3)):

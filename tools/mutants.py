@@ -253,6 +253,27 @@ MUTANTS = (
         (COUNTS,),
     ),
     Mutant(
+        "intersect_components skips its nvars check",
+        "decomposition.py",
+        "if not _is_count(nvars):",
+        "if False:",
+        (COUNTS,),
+    ),
+    Mutant(
+        "intersect_components ignores a component on another ring",
+        "decomposition.py",
+        "if c.nvars != nvars:",
+        "if False:",
+        (DECOMPOSITION,),
+    ),
+    Mutant(
+        "Monomial.one skips its count check",
+        "monomial.py",
+        "return cls(_zeros(nvars))",
+        "return cls([0] * nvars)",
+        (COUNTS,),
+    ),
+    Mutant(
         "Monomial accepts a boolean exponent",
         "monomial.py",
         "if not isinstance(e, int) or e < 0 or e.__class__ is bool:",
