@@ -15,7 +15,8 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .closedform import predicted_ass, predicted_astab, predicted_ntf
-from .decomposition import DeadlineExceeded, irreducible_decomposition
+from .decomposition import irreducible_decomposition
+from .ideal import DeadlineExceeded
 from .monomial import _is_count
 from .pathfamily import PathCase, ZeroIdealError, classify, ind_ideal
 from .verify import (
@@ -60,18 +61,19 @@ def _emit(payload: dict, text_lines: list[str], fmt: str) -> None:
 def _cmd_gen(args: argparse.Namespace) -> int:
     ideal = ind_ideal(args.n, args.t)
     case = classify(args.n, args.t)
+    texts = ideal._texts()
     payload = {
         "n": args.n,
         "t": args.t,
         "case": case.value,
         "nvars": ideal.nvars,
-        "generators": [g.text() for g in ideal.gens],
+        "generators": texts,
     }
     lines = [
         f"size-{args.t} independence ideal of the path on {args.n} vertices "
-        f"({case.value}): {len(ideal.gens)} generators"
+        f"({case.value}): {len(ideal)} generators",
+        *texts,
     ]
-    lines.extend(g.text() for g in ideal.gens)
     _emit(payload, lines, args.format)
     return 0
 

@@ -9,12 +9,12 @@ module never computes a decomposition itself.
 
 from __future__ import annotations
 
-import time
 from itertools import chain, combinations_with_replacement, islice
 from math import comb
 from typing import Iterator, Optional
 
-from .decomposition import DeadlineExceeded, IrreducibleComponent, VarPrime
+from .decomposition import IrreducibleComponent, VarPrime
+from .ideal import _check_deadline
 from .monomial import Monomial, _is_count
 from .pathfamily import PathCase, ZeroIdealError, classify
 
@@ -81,8 +81,7 @@ def predicted_ass(
     )
     primes: list[VarPrime] = []
     while True:
-        if deadline is not None and time.monotonic() > deadline:
-            raise DeadlineExceeded("prediction exceeded its time budget")
+        _check_deadline(deadline, "prediction")
         batch = [VarPrime._from_vars(n, idx) for idx in islice(lists, _LISTS_PER_CHECK)]
         if not batch:
             return tuple(primes)
@@ -127,8 +126,6 @@ def predicted_decomposition_2t(t: int, k: int) -> tuple[IrreducibleComponent, ..
     """
     if not (_is_count(t) and _is_count(k)):
         raise ValueError("t and k must be positive integers")
-    if t < 2:
-        raise ValueError("the two-variable component formula needs t >= 2")
     n = 2 * t
     components = [
         IrreducibleComponent(n, ((i, r), (j, k + 1 - r)))

@@ -68,20 +68,17 @@ radicals (support sets).
 from __future__ import annotations
 
 import threading
-import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Optional, Sequence
 
-# DeadlineExceeded is re-exported: cli.py, verify.py, closedform.py and four
-# test files import it from here, and tests/test_decomposition.py imports
-# _guards and _pack from here too.
-from .ideal import DeadlineExceeded, MonomialIdeal
+from .ideal import MonomialIdeal, _check_deadline
 from .monomial import _FIELD, _W, EXPONENT_CAP, DimensionMismatch, ExponentOverflow, Monomial
 from .monomial import _guards, _is_count, _pack
 
-DEFAULT_CACHE_SIZE = 1 << 16
+# The number of entries at which a DecompositionCache empties before a store.
+_CACHE_SIZE = 1 << 16
 
 # Kernel data (see the module docstring): a prefix is a run of packed minimal
 # generators in numeric order; a component is a packed vector, and a memo
@@ -209,16 +206,12 @@ class DecompositionCache:
     it shares, since the ideals of different calls bring their own ints.
 
     `misses` counts the lookups that found nothing, `hits` those that resumed
-    a call.  The cap, an int of at least 1, bounds memory: a store into a
-    full cache first empties both the entries and the table, so the table
-    never keeps an int that no stored key holds.
+    a call.  The cap _CACHE_SIZE bounds memory: a store into a full cache
+    first empties both the entries and the table, so the table never keeps
+    an int that no stored key holds.
     """
 
-    def __init__(self, maxsize: int = DEFAULT_CACHE_SIZE):
-        # a NaN cap would never empty the cache: len >= nan is always false
-        if not _is_count(maxsize):
-            raise ValueError(f"cache size must be an int of at least 1, got {maxsize!r}")
-        self.maxsize = maxsize
+    def __init__(self):
         self._data: dict[_Prefix, _Components] = {}
         self._canonical: dict[int, int] = {}
         self._lock = threading.Lock()
@@ -260,7 +253,7 @@ class DecompositionCache:
         # one join: building the value piece by piece is quadratic
         value = b"".join([(v & narrow).to_bytes(size, "little") for v in components])
         with self._lock:
-            if len(self._data) >= self.maxsize:
+            if len(self._data) >= _CACHE_SIZE:
                 self._data.clear()
                 self._canonical.clear()
             canonical = self._canonical
@@ -469,8 +462,7 @@ def irreducible_decomposition(
     # a stored prefix has at least one component; without one, start from the zero ideal
     live: list[int] | _Index = stored or [_pack((_ABSENT,) * nvars)]
     for i in range(start, len(packed)):
-        if deadline is not None and time.monotonic() > deadline:
-            raise DeadlineExceeded("decomposition exceeded its time budget")
+        _check_deadline(deadline, "decomposition")
         if isinstance(live, _Index):
             live.add_generator(packed[i])
         else:

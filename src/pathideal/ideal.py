@@ -17,6 +17,15 @@ class DeadlineExceeded(RuntimeError):
     """A computation ran past its wall-clock deadline."""
 
 
+def _check_deadline(deadline: Optional[float], what: str) -> None:
+    """Raise DeadlineExceeded for `what` once time.monotonic() is past `deadline`.
+
+    `deadline` is a time.monotonic() instant; None never fires.
+    """
+    if deadline is not None and time.monotonic() > deadline:
+        raise DeadlineExceeded(f"{what} exceeded its time budget")
+
+
 class ImproperIdeal(ValueError):
     """An operation produced the unit ideal, which is deliberately unrepresentable.
 
@@ -31,6 +40,18 @@ def _excess(a: int, b: int, guards: int) -> int:
     t = (a | guards) - b
     keep = t & guards  # the fields in which a >= b
     return t & (keep - (keep >> (_W - 1)))
+
+
+def _divides_some(gens: Iterable[int], high: int, guards: int) -> bool:
+    """Whether some packed g in `gens` divides the packed u with high = u | guards.
+
+    g divides u iff g_i <= u_i in every field, iff subtracting g from the
+    guarded u borrows from no guard bit.
+    """
+    for g in gens:
+        if (high - g) & guards == guards:
+            return True
+    return False
 
 
 def _by_degree(values: Iterable[int]) -> dict[int, set[int]]:
@@ -55,15 +76,8 @@ def _minimize_raw(blocks: dict[int, set[int]]) -> list[int]:
     guards = _guards(top.bit_length() // _W + 1)
     kept: list[int] = []
     for _, block in sorted(blocks.items()):
-        new = []  # the new block joins `kept` only once it is built
-        for t in block:
-            high = t | guards
-            for g in kept:
-                if (high - g) & guards == guards:
-                    break
-            else:
-                new.append(t)
-        kept += new
+        # the new block joins `kept` only once it is built
+        kept += [t for t in block if not _divides_some(kept, t | guards, guards)]
     return kept
 
 
@@ -71,8 +85,7 @@ def _products(
     rows: Sequence[int], columns: Sequence[int], nvars: int, deadline: Optional[float] = None
 ) -> dict[int, set[int]]:
     """Every sum u + v, grouped by degree; `deadline` is checked on entry and once per row."""
-    if deadline is not None and time.monotonic() > deadline:
-        raise DeadlineExceeded("building the power exceeded its time budget")
+    _check_deadline(deadline, "building the power")
     guards = _guards(nvars)
     top = reduce(lambda a, b: b + _excess(a, b, guards), columns, 0)  # fieldwise max
     spill = _pack((_FIELD - EXPONENT_CAP,) * nvars)
@@ -80,8 +93,7 @@ def _products(
     sums: dict[int, set[int]] = {}
     for du, us in _by_degree(rows).items():
         for u in us:
-            if deadline is not None and time.monotonic() > deadline:
-                raise DeadlineExceeded("building the power exceeded its time budget")
+            _check_deadline(deadline, "building the power")
             # checked before the sum is formed: past the cap it could reach its guard bit
             if (u + top + spill) & guards:
                 raise ExponentOverflow(f"a product exponent exceeds cap {EXPONENT_CAP}")
@@ -204,11 +216,7 @@ class MonomialIdeal:
     def contains(self, m: Monomial) -> bool:
         self._check_monomial(m)
         guards = _guards(self.nvars)
-        u = m._packed | guards
-        for g in self._packed:
-            if (u - g) & guards == guards:
-                return True
-        return False
+        return _divides_some(self._packed, m._packed | guards, guards)
 
     def __contains__(self, m: Monomial) -> bool:
         return self.contains(m)
@@ -216,14 +224,7 @@ class MonomialIdeal:
     def is_subset(self, other: MonomialIdeal) -> bool:
         self._check_same_ring(other)
         guards, theirs = _guards(self.nvars), other._packed
-        for u in self._packed:
-            high = u | guards
-            for g in theirs:
-                if (high - g) & guards == guards:
-                    break
-            else:
-                return False
-        return True
+        return all(_divides_some(theirs, u | guards, guards) for u in self._packed)
 
     # -- algebra ---------------------------------------------------------------
 
@@ -255,8 +256,7 @@ class MonomialIdeal:
         cur = self._packed
         for _ in range(k - 1):
             cur = _minimize_raw(_products(cur, self._packed, self.nvars, deadline))
-            if deadline is not None and time.monotonic() > deadline:
-                raise DeadlineExceeded("building the power exceeded its time budget")
+            _check_deadline(deadline, "building the power")
         return MonomialIdeal._from_packed(self.nvars, cur)
 
     __pow__ = power
@@ -277,11 +277,8 @@ class MonomialIdeal:
         inside: list[int] = []
         lcms: set[int] = set()
         for u in self._packed:
-            high = u | guards
-            for v in theirs:
-                if (high - v) & guards == guards:
-                    inside.append(u)
-                    break
+            if _divides_some(theirs, u | guards, guards):
+                inside.append(u)
             else:
                 lcms.update([v + _excess(u, v, guards) for v in theirs])
         kept: list[int] = []
@@ -290,11 +287,7 @@ class MonomialIdeal:
             while below < len(inside) and inside[below] < t:
                 kept.append(inside[below])
                 below += 1
-            high = t | guards
-            for g in kept:
-                if (high - g) & guards == guards:
-                    break
-            else:
+            if not _divides_some(kept, t | guards, guards):
                 kept.append(t)
         return MonomialIdeal._from_packed(self.nvars, kept + inside[below:])
 

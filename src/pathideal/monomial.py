@@ -34,7 +34,7 @@ def _is_count(value) -> bool:
     """A positive integer; booleans are ints to Python but not counts here.
 
     The one rule for every public count of the package (n, t, k, kmax,
-    level, nvars and the memo size): a value that fails it raises ValueError.
+    level and nvars): a value that fails it raises ValueError.
     """
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
@@ -239,10 +239,6 @@ class Monomial:
 
     def squarefree_part(self) -> Monomial:
         return Monomial(1 if e > 0 else 0 for e in self.exponents)
-
-    @property
-    def is_unit(self) -> bool:
-        return self.degree == 0
 
     @property
     def is_squarefree(self) -> bool:

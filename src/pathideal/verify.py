@@ -17,13 +17,8 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .closedform import _predicted_count, predicted_ass, predicted_astab, witness_monomial
-from .decomposition import (
-    DeadlineExceeded,
-    DecompositionCache,
-    VarPrime,
-    associated_primes,
-    verify_witness,
-)
+from .decomposition import DecompositionCache, VarPrime, associated_primes, verify_witness
+from .ideal import DeadlineExceeded, _check_deadline
 from .monomial import _is_count
 from .pathfamily import MAX_PATH_VERTICES, PathCase, classify, ind_ideal
 
@@ -166,11 +161,9 @@ def verify_cell(
     )
     try:
         # the ideal, and then the prediction, can each spend the budget on a large cell
-        if time.monotonic() > deadline:
-            raise DeadlineExceeded("building the ideal exceeded the cell budget")
+        _check_deadline(deadline, "building the ideal")
         predicted = predicted_ass(n, t, k, deadline=deadline)
-        if time.monotonic() > deadline:
-            raise DeadlineExceeded("prediction exceeded the cell budget")
+        _check_deadline(deadline, "the prediction")
         power = ideal.power(k, deadline=deadline)
         if method == METHOD_DECOMPOSITION:
             # both lists come in sort_key order, and the filters keep it
@@ -184,8 +177,7 @@ def verify_cell(
         else:
             outcomes = []
             for prime in predicted:
-                if time.monotonic() > deadline:
-                    raise DeadlineExceeded("witness sweep exceeded its time budget")
+                _check_deadline(deadline, "the witness sweep")
                 u = witness_monomial(n, t, k, prime)
                 check = verify_witness(ideal, k, u, prime, power=power)
                 outcomes.append(WitnessOutcome(prime, check.ok, check.reason))
@@ -204,7 +196,6 @@ def persistence_scan(
     kmax: int,
     *,
     budget_seconds: float = DEFAULT_CELL_BUDGET_SECONDS,
-    cache: Optional[DecompositionCache] = None,
 ) -> list[VerificationReport]:
     """Associated primes for k = 1..kmax with chain-inclusion flags.
 
@@ -219,7 +210,7 @@ def persistence_scan(
     reports = []
     previous: Optional[frozenset[VarPrime]] = frozenset()
     for k in range(1, kmax + 1):
-        report = verify_cell(n, t, k, budget_seconds=budget_seconds, cache=cache)
+        report = verify_cell(n, t, k, budget_seconds=budget_seconds)
         computed = report.computed_primes
         if computed is not None and previous is not None:
             report.persistence = previous <= computed

@@ -6,7 +6,7 @@
 The same design as decomposition_corpus.py: seeded inputs through the public
 API only, one line per call (the method, its inputs as text, its output as
 text or an exception's class), and one sha256 per section in
-algebra.sha256.json, which test_golden_algebra.py checks.  The inputs are
+algebra.sha256.json, which test_golden.py checks.  The inputs are
 pairs of random ideals on 1-7 variables, squarefree, with small exponents,
 or with some exponents at and near EXPONENT_CAP, some of them zero and some
 with generators of one lying in the other, and a few monomials per pair.  The sections cover `sum`, `product`, `power`,

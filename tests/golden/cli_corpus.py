@@ -10,7 +10,7 @@ arguments and configs that exit 2.  Each line holds the arguments, the exit
 code and stdout with every `wall_time_ms` line removed (the one field that
 varies between runs); scan report files go to a temporary directory and are
 not pinned, since stdout repeats them.  One sha256 per section is kept in
-cli.sha256.json, which test_golden_cli.py checks.  A changed hash is a
+cli.sha256.json, which test_golden.py checks.  A changed hash is a
 changed output: it needs a reason.
 """
 

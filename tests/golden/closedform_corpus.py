@@ -10,7 +10,7 @@ k = 1..t+1 and every prime of the stable set, so primes of a level above k
 give the ValueError lines.  On a zero cell the witness of the maximal prime
 gives the ZeroIdealError line.  The output order of `predicted_ass` is part
 of what is pinned.  One sha256 per section is kept in closedform.sha256.json,
-which test_golden_closedform.py checks.  A changed hash is a changed output:
+which test_golden.py checks.  A changed hash is a changed output:
 it needs a reason.
 """
 

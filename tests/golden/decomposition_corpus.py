@@ -8,7 +8,7 @@ an exception, its class).  The inputs are seeded and use only the public API:
 random ideals on 1-7 variables, some with exponents at and near EXPONENT_CAP,
 and the path cells I(n, t)^k with n <= 8 and k <= 3.  The corpus is pinned by
 one sha256 per section in decomposition.sha256.json, which
-test_golden_decomposition.py checks, so a mismatch names its section.  The
+test_golden.py checks, so a mismatch names its section.  The
 script prints every line, to be diffed against another checkout's output;
 `--write` also records the hashes.  A changed hash is a changed output: it
 needs a reason.

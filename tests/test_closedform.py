@@ -14,6 +14,7 @@ from pathideal import (
     complement_components,
     ind_ideal,
     intersect_components,
+    irreducible_decomposition,
     parity_complement_checks,
     predicted_ass,
     predicted_astab,
@@ -24,7 +25,7 @@ from pathideal import (
     witness_monomial,
 )
 from pathideal.closedform import _parity_level, _predicted_count
-from pathideal.decomposition import DeadlineExceeded
+from pathideal.ideal import DeadlineExceeded
 
 from helpers import paper_witness
 
@@ -252,9 +253,13 @@ class TestPredictedDecomposition:
             for k in (1, 2, 3):
                 assert len(predicted_decomposition_2t(t, k)) == k * len(pairs)
 
+    def test_t1_matches_the_engine(self):
+        # n = 2: I(2, 1) = <x1, x2>, whose k-th power has the k components <x1^r, x2^(k+1-r)>
+        for k in (1, 2, 3, 4):
+            expected = irreducible_decomposition(ind_ideal(2, 1).power(k))
+            assert predicted_decomposition_2t(1, k) == expected
+
     def test_parameter_violations(self):
-        with pytest.raises(ValueError):
-            predicted_decomposition_2t(1, 2)
         with pytest.raises(ValueError):
             predicted_decomposition_2t(2, 0)
 

@@ -1,4 +1,4 @@
-"""One count rule: every public n, t, k, kmax, level, nvars and memo size is a positive int.
+"""One count rule: every public n, t, k, kmax, level and nvars is a positive int.
 
 NaN, infinity, fractions, booleans, 0 and -1 each raise ValueError from the
 library, and 0 and -1 in any integer flag make the command line exit 2.
@@ -9,7 +9,6 @@ from functools import partial
 import pytest
 
 from pathideal import (
-    DecompositionCache,
     IrreducibleComponent,
     Monomial,
     MonomialIdeal,
@@ -75,7 +74,6 @@ CALLS = [
     ("verify_cell", verify_cell, (5, 2, 2), (0, 1, 2)),
     ("persistence_scan", persistence_scan, (5, 2, 2), (0, 1, 2)),
     ("empirical_astab", empirical_astab, (5, 2, 2), (0, 1, 2)),
-    ("DecompositionCache", DecompositionCache, (1,), (0,)),
 ]
 
 ROWS = [

@@ -30,13 +30,13 @@ from pathideal.decomposition import (
     WITNESS_COLON_TOO_BIG,
     WITNESS_COLON_TOO_SMALL,
     WITNESS_IN_POWER,
-    DeadlineExceeded,
     _ABSENT,
     _Index,
     _add_generator,
     _guards,
     _pack,
 )
+from pathideal.ideal import DeadlineExceeded
 from pathideal.monomial import EXPONENT_CAP, ExponentOverflow
 
 from helpers import (
@@ -131,13 +131,14 @@ class TestSplitting:
                 rest = comps[:i] + comps[i + 1 :]
                 assert intersect_components(rest, I.nvars) != I
 
-    def test_deterministic_across_cache_states(self):
+    def test_deterministic_across_cache_states(self, monkeypatch):
         I = ind_ideal(6, 2).power(2)
         first = irreducible_decomposition(I, cache=DecompositionCache())
         warm_cache = DecompositionCache()
         irreducible_decomposition(I, cache=warm_cache)
         second = irreducible_decomposition(I, cache=warm_cache)
-        tiny = irreducible_decomposition(I, cache=DecompositionCache(maxsize=8))
+        monkeypatch.setattr(decomposition, "_CACHE_SIZE", 8)
+        tiny = irreducible_decomposition(I, cache=DecompositionCache())
         assert first == second == tiny
 
     def test_prefix_memo_counts_pinned(self):
@@ -260,18 +261,14 @@ class TestSplitting:
                 assert not isinstance(value, DecompositionCache), f"{module.__name__}.{name}"
                 assert not hasattr(value, "cache_info"), f"{module.__name__}.{name}"
 
-    def test_cache_eviction_keeps_results_correct(self):
+    def test_cache_eviction_keeps_results_correct(self, monkeypatch):
         I = ind_ideal(5, 2).power(2)
         unbounded = irreducible_decomposition(I, cache=DecompositionCache())
-        assert irreducible_decomposition(I, cache=DecompositionCache(maxsize=2)) == unbounded
+        monkeypatch.setattr(decomposition, "_CACHE_SIZE", 2)
+        assert irreducible_decomposition(I, cache=DecompositionCache()) == unbounded
 
 
 class TestMemoKeys:
-    @pytest.mark.parametrize("maxsize", [float("nan"), float("inf"), 2.5, True, 0, -1])
-    def test_maxsize_must_be_an_int_of_at_least_one(self, maxsize):
-        with pytest.raises(ValueError, match="cache size"):
-            DecompositionCache(maxsize=maxsize)
-
     def test_keys_hold_one_int_per_generator_value(self):
         # each random ideal brings its own ints; the stored keys share one per value
         rng = Random(503)
@@ -284,21 +281,23 @@ class TestMemoKeys:
         assert len(values) > 2 * len(set(values))
         assert len({id(g) for g in values}) == len(set(values))
 
-    def test_eviction_empties_the_table(self):
+    def test_eviction_empties_the_table(self, monkeypatch):
         # a full cache keeps no canonical int that only evicted keys held
         rng = Random(509)
-        cache = DecompositionCache(maxsize=4)
+        monkeypatch.setattr(decomposition, "_CACHE_SIZE", 4)
+        cache = DecompositionCache()
         for _ in range(40):
             irreducible_decomposition(random_ideal(rng, 6, 8, 3), cache=cache)
             assert len(cache) <= 4
             held = {id(g) for key in cache._data for g in key}
             assert {id(g) for g in cache._canonical.values()} <= held
 
-    def test_store_into_a_full_cache_empties_it(self):
+    def test_store_into_a_full_cache_empties_it(self, monkeypatch):
         # three prefixes into a cache of two: the third store finds it full and
         # empties the entries and the table before it stores
         ideals = [ind_ideal(n, 2).power(2) for n in (4, 5, 6)]
-        cache = DecompositionCache(maxsize=2)
+        monkeypatch.setattr(decomposition, "_CACHE_SIZE", 2)
+        cache = DecompositionCache()
         for n in (4, 5, 6):
             prefix = ind_ideal(n, 2)._packed
             cache.store(prefix, [_pack((1,) + (_ABSENT,) * (n - 1))])
@@ -307,7 +306,7 @@ class TestMemoKeys:
         assert key == ind_ideal(6, 2)._packed
         assert sorted(cache._canonical) == sorted(key)
         assert {id(g) for g in cache._canonical.values()} == {id(g) for g in key}
-        cache = DecompositionCache(maxsize=2)
+        cache = DecompositionCache()
         for I in ideals + ideals:
             assert irreducible_decomposition(I, cache=cache) == irreducible_decomposition(I)
             assert 1 <= len(cache) <= 2

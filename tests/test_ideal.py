@@ -16,7 +16,7 @@ from pathideal import (
 )
 from pathideal import ideal as ideal_module
 from pathideal import monomial as monomial_module
-from pathideal.decomposition import DeadlineExceeded
+from pathideal.ideal import DeadlineExceeded
 from pathideal.monomial import EXPONENT_CAP, _pack, _unpack
 
 from helpers import (

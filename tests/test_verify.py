@@ -20,8 +20,8 @@ from pathideal import (
     verify_cell,
 )
 from pathideal.cli import build_parser, main
-from pathideal.decomposition import WITNESS_IN_POWER, DeadlineExceeded, VarPrime
-from pathideal.ideal import MonomialIdeal
+from pathideal.decomposition import WITNESS_IN_POWER, VarPrime
+from pathideal.ideal import DeadlineExceeded, MonomialIdeal
 from pathideal.pathfamily import ZeroIdealError, ind_ideal
 from pathideal.verify import (
     DEFAULT_CELL_BUDGET_SECONDS,
@@ -245,15 +245,6 @@ class TestPersistenceScan:
         for n in (5, 2):
             with pytest.raises(ValueError, match="budget_seconds"):
                 persistence_scan(n, 2, 3, budget_seconds=budget)
-
-    def test_reuses_each_cell_decomposition(self):
-        scan_cache = DecompositionCache()
-        reports = persistence_scan(6, 2, 3, cache=scan_cache)
-        assert [r.persistence for r in reports] == [True, True, True]
-        cell_cache = DecompositionCache()
-        for k in (1, 2, 3):
-            verify_cell(6, 2, k, cache=cell_cache)
-        assert scan_cache.hits == cell_cache.hits
 
 
 @pytest.mark.parametrize(

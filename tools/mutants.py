@@ -39,8 +39,8 @@ MONOMIAL = "tests/test_monomial.py"
 CLOSEDFORM = "tests/test_closedform.py"
 PATHFAMILY = "tests/test_pathfamily.py"
 COUNTS = "tests/test_counts.py"
-GOLDEN_ALGEBRA = "tests/golden/test_golden_algebra.py"
-GOLDEN_CLI = "tests/golden/test_golden_cli.py"
+GOLDEN_ALGEBRA = "tests/golden/test_golden.py::test_sections_match_recorded_hashes[algebra]"
+GOLDEN_CLI = "tests/golden/test_golden.py::test_sections_match_recorded_hashes[cli]"
 
 
 class Mutant(NamedTuple):
@@ -48,7 +48,7 @@ class Mutant(NamedTuple):
     module: str  # a file under src/pathideal
     old: str
     new: str
-    kills: tuple[str, ...]  # test files, relative to the repository root
+    kills: tuple[str, ...]  # test files or test ids, relative to the repository root
 
 
 MUTANTS = (
@@ -162,14 +162,14 @@ MUTANTS = (
     Mutant(
         "decomposition ignores its deadline",
         "decomposition.py",
-        'raise DeadlineExceeded("decomposition exceeded its time budget")',
+        '_check_deadline(deadline, "decomposition")',
         "pass",
         (DECOMPOSITION,),
     ),
     Mutant(
         "prediction ignores its deadline",
         "closedform.py",
-        'raise DeadlineExceeded("prediction exceeded its time budget")',
+        '_check_deadline(deadline, "prediction")',
         "pass",
         (CLOSEDFORM,),
     ),
@@ -383,9 +383,24 @@ MUTANTS = (
     Mutant(
         "contains reads a monomial without its guards",
         "ideal.py",
-        "u = m._packed | guards",
-        "u = m._packed",
+        "return _divides_some(self._packed, m._packed | guards, guards)",
+        "return _divides_some(self._packed, m._packed, guards)",
         (IDEAL,),
+    ),
+    # the two shared checks of ideal.py
+    Mutant(
+        "divisibility test passes on any guard bit left",
+        "ideal.py",
+        "if (high - g) & guards == guards:",
+        "if (high - g) & guards:",
+        (IDEAL, GOLDEN_ALGEBRA),
+    ),
+    Mutant(
+        "deadline check never fires",
+        "ideal.py",
+        "if deadline is not None and time.monotonic() > deadline:",
+        "if False:",
+        (IDEAL, DECOMPOSITION, CLOSEDFORM),
     ),
 )
 
