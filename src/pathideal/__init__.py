@@ -36,7 +36,6 @@ from .pathfamily import (
 from .verify import (
     AstabResult,
     VerificationReport,
-    WitnessOutcome,
     empirical_astab,
     grid_scan,
     persistence_scan,
@@ -74,7 +73,6 @@ __all__ = [
     "predicted_decomposition_2t",
     "witness_monomial",
     "VerificationReport",
-    "WitnessOutcome",
     "AstabResult",
     "verify_cell",
     "persistence_scan",

@@ -259,51 +259,33 @@ def build_parser() -> argparse.ArgumentParser:
         default=FORMAT_TEXT,
         help="output format (default: text)",
     )
-
-    p = sub.add_parser("gen", parents=[common], help="print the generators of the ideal")
-    p.add_argument("--n", type=int, required=True, help="number of path vertices")
-    p.add_argument("--t", type=int, required=True, help="independent-set size")
-    p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("predict", parents=[common], help="print the predicted associated primes")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--k", type=int, required=True, help="power exponent")
-    p.set_defaults(func=_cmd_predict)
-
-    p = sub.add_parser("decompose", parents=[common], help="irreducible components of the power")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("ass", parents=[common], help="verify one cell against the prediction")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument(
+    # a flag of several cell commands is declared once, in a parent parser they share
+    cell = argparse.ArgumentParser(add_help=False, parents=[common])
+    cell.add_argument("--n", type=int, required=True, help="number of path vertices")
+    cell.add_argument("--t", type=int, required=True, help="independent-set size")
+    power = argparse.ArgumentParser(add_help=False)
+    power.add_argument("--k", type=int, required=True, help="power exponent")
+    chain = argparse.ArgumentParser(add_help=False)
+    chain.add_argument("--kmax", type=int, required=True, help="highest power exponent")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument(
+        "--budget", type=_budget, default=DEFAULT_CELL_BUDGET_SECONDS, help="cell budget in seconds"
+    )
+    for name, parents, func, text in (
+        ("gen", [cell], _cmd_gen, "print the generators of the ideal"),
+        ("predict", [cell, power], _cmd_predict, "print the predicted associated primes"),
+        ("decompose", [cell, power], _cmd_decompose, "irreducible components of the power"),
+        ("ass", [cell, power, budget], _cmd_ass, "verify one cell against the prediction"),
+        ("persistence", [cell, chain, budget], _cmd_persistence, "scan chain inclusions up to kmax"),
+        ("astab", [cell, chain], _cmd_astab, "empirical index of stability up to kmax"),
+    ):
+        sub.add_parser(name, parents=parents, help=text).set_defaults(func=func)
+    sub.choices["ass"].add_argument(
         "--method",
         choices=["decomposition", "witness"],
         default="decomposition",
         help="two-sided decomposition (default) or one-sided witness checks",
     )
-    p.add_argument(
-        "--budget", type=_budget, default=DEFAULT_CELL_BUDGET_SECONDS, help="cell budget in seconds"
-    )
-    p.set_defaults(func=_cmd_ass)
-
-    p = sub.add_parser("persistence", parents=[common], help="scan chain inclusions up to kmax")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--budget", type=_budget, default=DEFAULT_CELL_BUDGET_SECONDS)
-    p.set_defaults(func=_cmd_persistence)
-
-    p = sub.add_parser("astab", parents=[common], help="empirical index of stability up to kmax")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--kmax", type=int, required=True)
-    p.set_defaults(func=_cmd_astab)
 
     p = sub.add_parser("scan", parents=[common], help="run a grid scan and write report files")
     p.add_argument("--config", help="JSON config file (defaults used when omitted)")

@@ -16,7 +16,7 @@ from typing import Iterator, Optional
 from .decomposition import IrreducibleComponent, VarPrime
 from .ideal import _check_deadline
 from .monomial import Monomial, _is_count
-from .pathfamily import PathCase, ZeroIdealError, classify
+from .pathfamily import PathCase, ZeroIdealError, _check_cap, classify
 
 __all__ = [
     "predicted_ass",
@@ -71,11 +71,13 @@ def predicted_ass(
     then lexicographically: the length grows with the level, and each level's
     index lists come in lexicographic order.  `deadline` is an optional
     time.monotonic() timestamp, checked before every _LISTS_PER_CHECK index
-    lists; crossing it raises DeadlineExceeded.
+    lists; crossing it raises DeadlineExceeded.  A nonzero cell with n above
+    MAX_PATH_VERTICES raises ValueError before any list is built.
     """
     if not _is_count(k):
         raise ValueError("k must be a positive integer")
     top = min(predicted_astab(n, t), k)
+    _check_cap(n)
     lists = chain.from_iterable(
         _parity_index_lists(n, n - 2 * t + 2 * level) for level in range(1, top + 1)
     )

@@ -75,7 +75,7 @@ from typing import Iterable, Optional, Sequence
 
 from .ideal import MonomialIdeal, _check_deadline
 from .monomial import _FIELD, _W, EXPONENT_CAP, DimensionMismatch, ExponentOverflow, Monomial
-from .monomial import _guards, _is_count, _pack
+from .monomial import _guards, _is_count, _pack, _terms
 
 # The number of entries at which a DecompositionCache empties before a store.
 _CACHE_SIZE = 1 << 16
@@ -140,8 +140,7 @@ class IrreducibleComponent:
     powers: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        items = tuple(sorted(dict(self.powers).items()))
-        object.__setattr__(self, "powers", items)
+        items = tuple((i, a) for i, a in self.powers)
         if not _is_count(self.nvars):
             raise ValueError(f"nvars must be a positive integer, got {self.nvars!r}")
         if not items:
@@ -153,6 +152,9 @@ class IrreducibleComponent:
                 raise ValueError(f"pure power exponent must be an integer >= 1, got x{i}^{a!r}")
             if a > EXPONENT_CAP:
                 raise ExponentOverflow(f"exponent {a} exceeds cap {EXPONENT_CAP}")
+        if len({i for i, _ in items}) < len(items):
+            raise ValueError(f"variable indices must be distinct, got {items}")
+        object.__setattr__(self, "powers", tuple(sorted(items)))
 
     @classmethod
     def _from_kernel(cls, nvars: int, powers: tuple[tuple[int, int], ...]) -> IrreducibleComponent:
@@ -179,7 +181,7 @@ class IrreducibleComponent:
         )
 
     def gens_text(self) -> list[str]:
-        return [f"x{i}^{a}" if a > 1 else f"x{i}" for i, a in self.powers]
+        return [text for _, text in _terms(a << (i - 1) * _W for i, a in self.powers)]
 
     def __str__(self) -> str:
         return "<" + ",".join(self.gens_text()) + ">"
@@ -503,8 +505,9 @@ def associated_primes(
 
 @dataclass(frozen=True)
 class WitnessCheck:
-    """Outcome of a colon-witness check, with a reason code on failure."""
+    """Outcome of a colon-witness check of `prime`, with a reason code on failure."""
 
+    prime: VarPrime
     ok: bool
     reason: Optional[str] = None
 
@@ -528,14 +531,14 @@ def verify_witness(
         raise ValueError("k must be a positive integer")
     ik = power if power is not None else ideal.power(k)
     if ik.contains(u):
-        return WitnessCheck(False, WITNESS_IN_POWER)
+        return WitnessCheck(prime, False, WITNESS_IN_POWER)
     colon = ik.colon_monomial(u)
     prime_ideal = prime.as_ideal()
     if not colon.is_subset(prime_ideal):
-        return WitnessCheck(False, WITNESS_COLON_TOO_BIG)
+        return WitnessCheck(prime, False, WITNESS_COLON_TOO_BIG)
     if not prime_ideal.is_subset(colon):
-        return WitnessCheck(False, WITNESS_COLON_TOO_SMALL)
-    return WitnessCheck(True)
+        return WitnessCheck(prime, False, WITNESS_COLON_TOO_SMALL)
+    return WitnessCheck(prime, True)
 
 
 def minimal_primes_squarefree(ideal: MonomialIdeal) -> tuple[VarPrime, ...]:

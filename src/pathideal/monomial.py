@@ -120,8 +120,8 @@ class Monomial:
     @classmethod
     def variable(cls, index: int, nvars: int, exponent: int = 1) -> Monomial:
         exps = _zeros(nvars)
-        if not 1 <= index <= nvars:
-            raise ValueError(f"variable index {index} out of range [1, {nvars}]")
+        if not (_is_count(index) and index <= nvars):
+            raise ValueError(f"variable index {index!r} out of range [1, {nvars}]")
         exps[index - 1] = exponent
         return cls(exps)
 
@@ -130,8 +130,8 @@ class Monomial:
         """Squarefree monomial x^F for a set F of variable indices."""
         exps = _zeros(nvars)
         for i in indices:
-            if not 1 <= i <= nvars:
-                raise ValueError(f"variable index {i} out of range [1, {nvars}]")
+            if not (_is_count(i) and i <= nvars):
+                raise ValueError(f"variable index {i!r} out of range [1, {nvars}]")
             exps[i - 1] = 1
         return cls(exps)
 

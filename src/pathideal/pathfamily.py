@@ -54,6 +54,12 @@ def classify(n: int, t: int) -> PathCase:
     return PathCase.CASE_GT_2T
 
 
+def _check_cap(n: int) -> None:
+    """Refuse a path longer than MAX_PATH_VERTICES before anything is enumerated."""
+    if n > MAX_PATH_VERTICES:
+        raise ValueError(f"n={n} exceeds the enumeration cap {MAX_PATH_VERTICES}")
+
+
 def independent_sets(n: int, t: int) -> list[tuple[int, ...]]:
     """All size-t independent sets of the path on n vertices, lexicographic.
 
@@ -61,8 +67,7 @@ def independent_sets(n: int, t: int) -> list[tuple[int, ...]]:
     lexicographic order without generating invalid candidates.
     """
     case = classify(n, t)  # checks n and t
-    if n > MAX_PATH_VERTICES:
-        raise ValueError(f"n={n} exceeds the enumeration cap {MAX_PATH_VERTICES}")
+    _check_cap(n)
     if case is PathCase.ZERO:
         return []
     return [

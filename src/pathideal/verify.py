@@ -17,7 +17,8 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .closedform import _predicted_count, predicted_ass, predicted_astab, witness_monomial
-from .decomposition import DecompositionCache, VarPrime, associated_primes, verify_witness
+from .decomposition import DecompositionCache, VarPrime, WitnessCheck, associated_primes
+from .decomposition import verify_witness
 from .ideal import DeadlineExceeded, _check_deadline
 from .monomial import _is_count
 from .pathfamily import MAX_PATH_VERTICES, PathCase, classify, ind_ideal
@@ -47,13 +48,6 @@ def _is_budget(value) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class WitnessOutcome:
-    prime: VarPrime
-    ok: bool
-    reason: Optional[str] = None
-
-
 @dataclass
 class VerificationReport:
     """Structured outcome of one (n, t, k) comparison."""
@@ -70,7 +64,7 @@ class VerificationReport:
     extra: tuple[VarPrime, ...] = ()
     persistence: Optional[bool] = None
     one_sided: bool = False
-    witnesses: tuple[WitnessOutcome, ...] = ()
+    witnesses: tuple[WitnessCheck, ...] = ()
     wall_time_ms: Optional[float] = None
     # a result, not part of the record: the computed Ass set of a decomposition
     # cell that finished (PASS or FAIL), None for every other cell
@@ -146,8 +140,6 @@ def verify_cell(
 
     start = time.monotonic()
     deadline = start + budget_seconds
-    # built first: it rejects n above MAX_PATH_VERTICES, where the prediction
-    # alone could run far past the budget
     ideal = ind_ideal(n, t)
     report = VerificationReport(
         n=n,
@@ -175,14 +167,13 @@ def verify_cell(
             report.extra = tuple(p for p in computed if p not in expected)
             ok = not report.missing and not report.extra
         else:
-            outcomes = []
+            checks = []
             for prime in predicted:
                 _check_deadline(deadline, "the witness sweep")
                 u = witness_monomial(n, t, k, prime)
-                check = verify_witness(ideal, k, u, prime, power=power)
-                outcomes.append(WitnessOutcome(prime, check.ok, check.reason))
-            report.witnesses = tuple(outcomes)
-            ok = all(w.ok for w in outcomes)
+                checks.append(verify_witness(ideal, k, u, prime, power=power))
+            report.witnesses = tuple(checks)
+            ok = all(checks)
         report.verdict = VERDICT_PASS if ok else VERDICT_FAIL
     except DeadlineExceeded:
         pass

@@ -149,6 +149,11 @@ class TestPredictedAss:
         with pytest.raises(ZeroIdealError) as err:
             predicted_ass(2, 2, 1)
         assert err.value.case.value == "ZERO"
+        # above the path-vertex cap a zero cell is still ZERO, and any other is refused
+        with pytest.raises(ZeroIdealError):
+            predicted_ass(60, 40, 2)
+        with pytest.raises(ValueError, match="exceeds the enumeration cap 24"):
+            predicted_ass(25, 1, 1)
 
     def test_formula_level_persistence(self):
         for (n, t) in [(5, 2), (6, 2), (7, 3), (8, 3)]:

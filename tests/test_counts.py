@@ -66,8 +66,14 @@ CALLS = [
     ("MonomialIdeal", MonomialIdeal, (1,), (0,)),
     ("MonomialIdeal.power", ind_ideal(5, 2).power, (1,), (0,)),
     ("Monomial.one", Monomial.one, (1,), (0,)),
-    ("Monomial.variable", Monomial.variable, (1, 1), (1,)),
+    ("Monomial.variable", Monomial.variable, (2, 3), (0, 1)),
     ("Monomial.from_support", Monomial.from_support, ((), 1), (1,)),
+    (
+        "Monomial.from_support-index",
+        lambda index, nvars: Monomial.from_support([index], nvars),
+        (2, 3),
+        (0,),
+    ),
     ("Monomial.parse", Monomial.parse, ("1", 1), (1,)),
     ("complement_components", complement_components, (1, VarPrime(1, (1,))), (0,)),
     ("parity_complement_checks", parity_complement_checks, (5, 2, PRIME, 1), (0, 1, 3)),

@@ -664,11 +664,29 @@ class TestAsIdeal:
 
     @pytest.mark.parametrize(
         "powers",
-        [((1, float("nan")),), ((1, 2.0),), ((1, True),), ((1.0, 2),), ((True, 2),), ((1, 0),)],
+        [
+            ((1, float("nan")),),
+            ((1, 2.0),),
+            ((1, True),),
+            ((1.0, 2),),
+            ((True, 2),),
+            ((1, 0),),
+            # a repeated index, also as True, which equals 1
+            ((1, 2), (1, 3)),
+            ((1, 2), (True, 3)),
+            # checked before the pairs are sorted, so not a TypeError from sorted
+            ((1, 2), (None, 3)),
+            ((1, 2), ("a", 3)),
+        ],
     )
     def test_non_integer_entries_rejected(self, powers):
         with pytest.raises(ValueError):
             IrreducibleComponent(2, powers)
+
+    def test_pairs_stored_as_sorted_tuples(self):
+        component = IrreducibleComponent(2, [[2, 1], [1, 2]])
+        assert component == IrreducibleComponent(2, ((1, 2), (2, 1)))
+        assert component.powers == ((1, 2), (2, 1)) and hash(component)
 
     def test_power_past_cap_rejected(self):
         with pytest.raises(ExponentOverflow):
@@ -679,7 +697,7 @@ class TestWitness:
     def test_valid_witness(self):
         I = ind_ideal(5, 2)
         check = verify_witness(I, 1, Monomial.parse("x4*x5", 5), VarPrime(5, (1, 2, 3)))
-        assert check.ok and check.reason is None
+        assert check.ok and check.reason is None and check.prime == VarPrime(5, (1, 2, 3))
 
     def test_maximal_prime_witness(self):
         I = ind_ideal(5, 2)

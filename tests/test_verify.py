@@ -105,6 +105,7 @@ class TestVerifyCell:
         assert report.computed_count is None
         assert len(report.witnesses) == report.predicted_count == 5
         assert all(w.ok for w in report.witnesses)
+        assert tuple(w.prime for w in report.witnesses) == predicted_ass(5, 2, 2)
 
     def test_decomposition_method_not_one_sided(self):
         assert not verify_cell(4, 2, 2).one_sided
@@ -647,11 +648,12 @@ class TestCli:
         assert capsys.readouterr().err.startswith("config error: n_range may not go above")
         assert cells == [] and not (tmp_path / "r.json").exists()
 
-    @pytest.mark.parametrize("command", ["ass", "persistence", "astab"])
+    @pytest.mark.parametrize("command", ["predict", "ass", "persistence", "astab"])
     def test_over_cap_cell_exits_two_at_once(self, command, capsys):
-        size = "--k" if command == "ass" else "--kmax"
+        size = "--k" if command in ("predict", "ass") else "--kmax"
         start = time.monotonic()
-        assert main([command, "--n", "60", "--t", "20", size, "20"]) == 2
+        # just above the cap, with a small prediction: a lost cap exits 0 here, at once
+        assert main([command, "--n", "25", "--t", "1", size, "2"]) == 2
         assert time.monotonic() - start < 1.0
         assert "exceeds the enumeration cap 24" in capsys.readouterr().err
 

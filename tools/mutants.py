@@ -77,7 +77,7 @@ MUTANTS = (
     Mutant(
         "witness method always ok",
         "verify.py",
-        "ok = all(w.ok for w in outcomes)",
+        "ok = all(checks)",
         "ok = True",
         (VERIFY,),
     ),
@@ -274,6 +274,13 @@ MUTANTS = (
         (COUNTS,),
     ),
     Mutant(
+        "Monomial.variable skips the count rule",
+        "monomial.py",
+        "if not (_is_count(index) and index <= nvars):",
+        "if not 1 <= index <= nvars:",
+        (COUNTS,),
+    ),
+    Mutant(
         "Monomial accepts a boolean exponent",
         "monomial.py",
         "if not isinstance(e, int) or e < 0 or e.__class__ is bool:",
@@ -324,6 +331,13 @@ MUTANTS = (
         (DECOMPOSITION,),
     ),
     Mutant(
+        "IrreducibleComponent accepts a repeated index",
+        "decomposition.py",
+        "if len({i for i, _ in items}) < len(items):",
+        "if False:",
+        (DECOMPOSITION,),
+    ),
+    Mutant(
         "components get 0-based indices",
         "decomposition.py",
         "shifts = [(j + 1, j * _W) for j in range(nvars)]",
@@ -343,6 +357,13 @@ MUTANTS = (
         "if not (_is_count(n) and _is_count(t)):",
         "if n < 1 or t < 1:",
         (PATHFAMILY, CLOSEDFORM),
+    ),
+    Mutant(
+        "predicted_ass has no path-vertex cap",
+        "closedform.py",
+        "_check_cap(n)",
+        "None",
+        (CLOSEDFORM, VERIFY),
     ),
     Mutant(
         "predicted count off by one",
