@@ -17,7 +17,6 @@ from . import __version__
 from .closedform import predicted_ass, predicted_astab, predicted_ntf
 from .decomposition import irreducible_decomposition
 from .ideal import DeadlineExceeded
-from .monomial import _is_count
 from .pathfamily import PathCase, ZeroIdealError, classify, ind_ideal
 from .verify import (
     DEFAULT_CELL_BUDGET_SECONDS,
@@ -58,17 +57,18 @@ def _emit(payload: dict, text_lines: list[str], fmt: str) -> None:
             print(line)
 
 
+def _head(args: argparse.Namespace, case: PathCase) -> dict:
+    """The first payload fields of a cell command: n, t, k where it has one, and the case."""
+    head = {key: getattr(args, key) for key in ("n", "t", "k") if key in args}
+    head["case"] = case.value
+    return head
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     ideal = ind_ideal(args.n, args.t)
     case = classify(args.n, args.t)
     texts = ideal._texts()
-    payload = {
-        "n": args.n,
-        "t": args.t,
-        "case": case.value,
-        "nvars": ideal.nvars,
-        "generators": texts,
-    }
+    payload = {**_head(args, case), "nvars": ideal.nvars, "generators": texts}
     lines = [
         f"size-{args.t} independence ideal of the path on {args.n} vertices "
         f"({case.value}): {len(ideal)} generators",
@@ -78,65 +78,50 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _zero(args: argparse.Namespace, suffix: str = "", **empty) -> int:
+    """The answer of a cell command on a zero cell, with the command's `empty` field."""
+    lines = [f"zero ideal for n={args.n}, t={args.t}{suffix}"]
+    _emit({**_head(args, PathCase.ZERO), **empty}, lines, args.format)
+    return 0
+
+
+def _listing(args: argparse.Namespace, title: str, field: str, items, record) -> int:
+    """Print `title` power k with a count and one line per item, and the payload `field`
+    of each item's `record`; `items` None is a cell past its budget (count and field null)."""
+    if items is None:
+        status = f"SKIPPED (cell budget of {DEFAULT_CELL_BUDGET_SECONDS:g} s exceeded)"
+        count = records = None
+    else:
+        status = count = len(items)
+        records = [record(item) for item in items]
+    payload = {**_head(args, classify(args.n, args.t)), "count": count, field: records}
+    _emit(payload, [f"{title} power {args.k}: {status}", *map(str, items or ())], args.format)
+    return 0
+
+
 def _cmd_predict(args: argparse.Namespace) -> int:
     try:
         primes = predicted_ass(args.n, args.t, args.k)
     except ZeroIdealError:
-        _emit(
-            {"n": args.n, "t": args.t, "k": args.k, "case": PathCase.ZERO.value, "primes": []},
-            [f"zero ideal for n={args.n}, t={args.t}: no associated primes"],
-            args.format,
-        )
-        return 0
-    payload = {
-        "n": args.n,
-        "t": args.t,
-        "k": args.k,
-        "case": classify(args.n, args.t).value,
-        "count": len(primes),
-        "primes": [list(p.vars) for p in primes],
-    }
-    lines = [f"predicted associated primes for power {args.k}: {len(primes)}"]
-    lines.extend(str(p) for p in primes)
-    _emit(payload, lines, args.format)
-    return 0
+        return _zero(args, ": no associated primes", primes=[])
+    return _listing(
+        args, "predicted associated primes for", "primes", primes, lambda p: list(p.vars)
+    )
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    if not _is_count(args.k):  # checked before a zero ideal returns early
-        raise ValueError("k must be a positive integer")
-    case = classify(args.n, args.t)
-    if case is PathCase.ZERO:
-        _emit(
-            {"n": args.n, "t": args.t, "k": args.k, "case": case.value, "components": []},
-            [f"zero ideal for n={args.n}, t={args.t}: nothing to decompose"],
-            args.format,
-        )
-        return 0
     deadline = time.monotonic() + DEFAULT_CELL_BUDGET_SECONDS
     try:
+        # checks n, t and then k, and returns a zero ideal unchanged
         power = ind_ideal(args.n, args.t).power(args.k, deadline=deadline)
+        if power.is_zero:
+            return _zero(args, ": nothing to decompose", components=[])
         components = irreducible_decomposition(power, deadline=deadline)
     except DeadlineExceeded:
         components = None
-    payload = {
-        "n": args.n,
-        "t": args.t,
-        "k": args.k,
-        "case": case.value,
-        "count": None if components is None else len(components),
-        "components": None if components is None else [c.gens_text() for c in components],
-    }
-    if components is None:
-        lines = [
-            f"irreducible components of power {args.k}: "
-            f"SKIPPED (cell budget of {DEFAULT_CELL_BUDGET_SECONDS:g} s exceeded)"
-        ]
-    else:
-        lines = [f"irreducible components of power {args.k}: {len(components)}"]
-        lines.extend(str(c) for c in components)
-    _emit(payload, lines, args.format)
-    return 0
+    return _listing(
+        args, "irreducible components of", "components", components, lambda c: c.gens_text()
+    )
 
 
 def _report_lines(report) -> list[str]:
@@ -194,12 +179,7 @@ def _cmd_astab(args: argparse.Namespace) -> int:
     try:
         result = empirical_astab(args.n, args.t, args.kmax)
     except ZeroIdealError:
-        _emit(
-            {"n": args.n, "t": args.t, "case": PathCase.ZERO.value},
-            [f"zero ideal for n={args.n}, t={args.t}"],
-            args.format,
-        )
-        return 0
+        return _zero(args)
     observed = "UNDETERMINED" if result.undetermined else result.observed
     payload = {
         "n": args.n,

@@ -112,7 +112,7 @@ class MonomialIdeal:
     not representable (see ImproperIdeal).
     """
 
-    __slots__ = ("nvars", "_packed", "_gens", "_hash")
+    __slots__ = ("nvars", "_packed", "_gens")
 
     def __init__(self, nvars: int, gens: Iterable[Monomial] = ()):
         if not _is_count(nvars):
@@ -129,7 +129,7 @@ class MonomialIdeal:
     def _store(self, nvars: int, minimal: Iterable[int]) -> MonomialIdeal:
         self.nvars = nvars
         self._packed = tuple(sorted(minimal))
-        self._gens = self._hash = None
+        self._gens = None
         if self._packed[:1] == (0,):
             raise ImproperIdeal("the unit ideal is not representable")
         return self
@@ -178,10 +178,7 @@ class MonomialIdeal:
         return self._packed == other._packed
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self._hash = hash((self.nvars, self._packed))
-        return h
+        return hash((self.nvars, self._packed))
 
     def __iter__(self) -> Iterator[Monomial]:
         return iter(self.gens)

@@ -94,7 +94,7 @@ class Monomial:
     all-zeros vector is the unit monomial ``1``.
     """
 
-    __slots__ = ("exponents", "degree", "_packed", "_hash", "_text")
+    __slots__ = ("exponents", "degree", "_packed")
 
     def __init__(self, exponents: Iterable[int]):
         exps = tuple(exponents)
@@ -109,7 +109,6 @@ class Monomial:
         self.exponents = exps
         self.degree = sum(exps)
         self._packed = packed
-        self._hash = self._text = None
 
     # -- constructors ------------------------------------------------------
 
@@ -169,10 +168,7 @@ class Monomial:
         return isinstance(other, Monomial) and self.exponents == other.exponents
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self._hash = hash(self.exponents)
-        return h
+        return hash(self.exponents)
 
     def __lt__(self, other: Monomial) -> bool:
         return self.sort_key < other.sort_key
@@ -190,9 +186,7 @@ class Monomial:
 
     def text(self) -> str:
         """Canonical textual form: increasing indices, caret only for exponents > 1."""
-        if self._text is None:
-            self._text = _terms((self._packed,))[0][1]
-        return self._text
+        return _terms((self._packed,))[0][1]
 
     # -- arithmetic --------------------------------------------------------
 

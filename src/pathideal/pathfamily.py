@@ -66,10 +66,9 @@ def independent_sets(n: int, t: int) -> list[tuple[int, ...]]:
     Uses the gap bijection with t-subsets of [n - t + 1], which enumerates in
     lexicographic order without generating invalid candidates.
     """
-    case = classify(n, t)  # checks n and t
-    _check_cap(n)
-    if case is PathCase.ZERO:
+    if classify(n, t) is PathCase.ZERO:  # checks n and t
         return []
+    _check_cap(n)
     return [
         tuple(c + shift for shift, c in enumerate(combo))
         for combo in combinations(range(1, n - t + 2), t)

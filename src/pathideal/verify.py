@@ -97,20 +97,6 @@ class VerificationReport:
         }
 
 
-def _zero_report(n: int, t: int, k: int, method: str) -> VerificationReport:
-    return VerificationReport(
-        n=n,
-        t=t,
-        k=k,
-        case=PathCase.ZERO,
-        method=method,
-        verdict=VERDICT_ZERO,
-        predicted_count=0,
-        computed_count=0,
-        wall_time_ms=0.0,
-    )
-
-
 def verify_cell(
     n: int,
     t: int,
@@ -136,7 +122,17 @@ def verify_cell(
         raise ValueError("budget_seconds must be a finite number above zero")
     case = classify(n, t)
     if case is PathCase.ZERO:
-        return _zero_report(n, t, k, method)
+        return VerificationReport(
+            n=n,
+            t=t,
+            k=k,
+            case=case,
+            method=method,
+            verdict=VERDICT_ZERO,
+            predicted_count=0,
+            computed_count=0,
+            wall_time_ms=0.0,
+        )
 
     start = time.monotonic()
     deadline = start + budget_seconds

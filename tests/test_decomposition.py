@@ -677,6 +677,8 @@ class TestAsIdeal:
             # checked before the pairs are sorted, so not a TypeError from sorted
             ((1, 2), (None, 3)),
             ((1, 2), ("a", 3)),
+            # no pair at all
+            (),
         ],
     )
     def test_non_integer_entries_rejected(self, powers):

@@ -70,6 +70,10 @@ class TestMinimize:
         with pytest.raises(ImproperIdeal):
             MonomialIdeal(3, [Monomial.one(3)])
 
+    def test_generator_from_another_ring_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            MonomialIdeal(3, [Monomial((1, 0))])
+
 
 class TestMembership:
     def test_path_ideal_contains(self):

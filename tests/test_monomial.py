@@ -83,6 +83,12 @@ class TestText:
         u = Monomial.parse("x2*x10^3", 12)
         assert u.exponents[1] == 1 and u.exponents[9] == 3
         assert u.text() == "x2*x10^3"
+        assert repr(u) == "Monomial('x2*x10^3', nvars=12)"
+
+    def test_equal_monomials_hash_equal(self):
+        parsed, built = Monomial.parse("x1*x3^2", 3), Monomial((1, 0, 2))
+        assert parsed == built and hash(parsed) == hash(built)
+        assert len({parsed, built}) == 1
 
     @pytest.mark.parametrize("bad", ["x0", "x6", "x1*x1", "x3*x1", "y2", "x1^0", "x1**2"])
     def test_rejects_malformed(self, bad):

@@ -71,6 +71,8 @@ class TestIndependentSets:
 
     def test_empty_below_threshold(self):
         assert independent_sets(3, 3) == []
+        # a zero cell above the cap is zero, not refused
+        assert independent_sets(30, 20) == []
 
     def test_enumeration_cap(self):
         with pytest.raises(ValueError):
@@ -145,6 +147,11 @@ class TestParityComplementChecks:
     def test_wrong_size_fails_first_part(self):
         checks = parity_complement_checks(6, 2, VarPrime(6, (1, 2, 3)), 1)
         assert not checks.size_ok
+
+    def test_unfilled_prime_fails_fill(self):
+        # A is empty and no single variable lies in I(5, 3), whose generator has degree 3
+        checks = parity_complement_checks(5, 3, VarPrime(5, (1, 2, 3, 4, 5)), 1)
+        assert checks == (False, True, False)
 
     def test_malformed_prime_rejected(self):
         with pytest.raises(ValueError):

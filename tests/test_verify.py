@@ -386,10 +386,12 @@ class TestCliFailures:
     """Under an injected fault every checking command exits 1."""
 
     def test_ass(self, monkeypatch, capsys):
-        fault_primes(monkeypatch, {ind_ideal(5, 2).power(2): lambda primes: primes[1:]})
+        power = ind_ideal(5, 2).power(2)
+        fault_primes(monkeypatch, {power: lambda primes: (*primes[1:], UNPREDICTED)})
         assert main(["ass", "--n", "5", "--t", "2", "--k", "2"]) == 1
         out = capsys.readouterr().out
         assert ": FAIL\n" in out and "  missing: <x1,x2,x3>\n" in out
+        assert "  extra: <x2,x3,x4>\n" in out
 
     def test_ass_witness(self, monkeypatch, capsys):
         power = ind_ideal(5, 2).power(2)
@@ -469,6 +471,14 @@ class TestConfig:
         assert validate_config({"n_range": [20, 24]})["n_range"] == [20, 24]
         with pytest.raises(ConfigError, match="cap 24"):
             validate_config({"n_range": [20, 26]})
+
+    def test_non_object_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ConfigError, match="config must be a JSON object"):
+            load_config(str(path))
+        assert main(["scan", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == "config error: config must be a JSON object\n"
 
     def test_undecodable_file_is_a_config_error(self, tmp_path):
         path = tmp_path / "config.json"
@@ -550,12 +560,30 @@ class TestGridScan:
         for record in json.loads(result.structured)["cells"]:
             assert record["wall_time_ms"] is None
 
+    def test_timings_when_asked(self):
+        config = {"t_values": [2], "n_range": [2, 4], "k_range": [1, 1], "include_timings": True}
+        result = grid_scan(config)
+        for record in json.loads(result.structured)["cells"]:
+            assert record["wall_time_ms"] >= 0
+        lines = result.table.splitlines()
+        assert lines[3].endswith("  diff  ms")
+        # the ZERO cell n = 2 and the two computed cells each end with their time
+        for row in lines[5:8]:
+            assert row.split()[-2] == "-" and float(row.split()[-1]) >= 0
+
 
 class TestCli:
     def test_gen_text(self, capsys):
         assert main(["gen", "--n", "4", "--t", "2"]) == 0
         out = capsys.readouterr().out
         assert "x1*x3" in out and "3 generators" in out
+
+    def test_zero_cell_above_cap_answers_zero(self, capsys):
+        assert main(["gen", "--n", "30", "--t", "20"]) == 0
+        out = capsys.readouterr().out
+        assert out == "size-20 independence ideal of the path on 30 vertices (ZERO): 0 generators\n"
+        assert main(["decompose", "--n", "30", "--t", "20", "--k", "2"]) == 0
+        assert capsys.readouterr().out == "zero ideal for n=30, t=20: nothing to decompose\n"
 
     def test_gen_structured(self, capsys):
         assert main(["gen", "--n", "4", "--t", "2", "--format", "structured"]) == 0
@@ -648,12 +676,15 @@ class TestCli:
         assert capsys.readouterr().err.startswith("config error: n_range may not go above")
         assert cells == [] and not (tmp_path / "r.json").exists()
 
-    @pytest.mark.parametrize("command", ["predict", "ass", "persistence", "astab"])
+    @pytest.mark.parametrize(
+        "command", ["gen", "predict", "decompose", "ass", "persistence", "astab"]
+    )
     def test_over_cap_cell_exits_two_at_once(self, command, capsys):
-        size = "--k" if command in ("predict", "ass") else "--kmax"
+        size = {"gen": [], "persistence": ["--kmax", "2"], "astab": ["--kmax", "2"]}
+        size = size.get(command, ["--k", "2"])
         start = time.monotonic()
         # just above the cap, with a small prediction: a lost cap exits 0 here, at once
-        assert main([command, "--n", "25", "--t", "1", size, "2"]) == 2
+        assert main([command, "--n", "25", "--t", "1", *size]) == 2
         assert time.monotonic() - start < 1.0
         assert "exceeds the enumeration cap 24" in capsys.readouterr().err
 

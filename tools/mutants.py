@@ -68,6 +68,20 @@ MUTANTS = (
         (VERIFY,),
     ),
     Mutant(
+        "pathideal ass prints no extra primes",
+        "cli.py",
+        """lines.append(f"  extra: {', '.join(str(p) for p in report.extra)}")""",
+        "pass",
+        (VERIFY,),
+    ),
+    Mutant(
+        "the scan table has no time column",
+        "verify.py",
+        "if include_timings:",
+        "if False:",
+        (VERIFY,),
+    ),
+    Mutant(
         "decomposition method always ok",
         "verify.py",
         "ok = not report.missing and not report.extra",
@@ -246,13 +260,6 @@ MUTANTS = (
         (COUNTS,),
     ),
     Mutant(
-        "pathideal decompose answers a zero cell before checking k",
-        "cli.py",
-        "if not _is_count(args.k):",
-        "if False:",
-        (COUNTS,),
-    ),
-    Mutant(
         "intersect_components skips its nvars check",
         "decomposition.py",
         "if not _is_count(nvars):",
@@ -357,6 +364,20 @@ MUTANTS = (
         "if not (_is_count(n) and _is_count(t)):",
         "if n < 1 or t < 1:",
         (PATHFAMILY, CLOSEDFORM),
+    ),
+    Mutant(
+        "independent_sets checks the cap before a zero cell",
+        "pathfamily.py",
+        "if classify(n, t) is PathCase.ZERO:  # checks n and t",
+        "if _check_cap(n) or classify(n, t) is PathCase.ZERO:",
+        (PATHFAMILY, VERIFY),
+    ),
+    Mutant(
+        "a prime that fails the fill check passes it",
+        "pathfamily.py",
+        "fill_ok = False",
+        "fill_ok = True",
+        (PATHFAMILY,),
     ),
     Mutant(
         "predicted_ass has no path-vertex cap",
