@@ -47,12 +47,20 @@ A live set wider than _INDEX_WIDTH moves, for the rest of the call, into
 an _Index: every component owns a slot, a bit position, and for each
 variable a dict maps each value of that field to the mask of the slots
 holding it.  The components that miss g are then an AND over supp(g) of the
-ORs of the masks above g's field, and the two kinds of d an AND of masks
-over the fields j != i.  Narrow live sets stay in the list step because the
-index costs a dict per variable and a pass over every field of each missed
-q, more than a plain pass over a few dozen components; past about 64 the
-index is cheaper, and the path cells of a default scan spend most of their
-steps there.
+ORs of the masks above g's field.  For each missed q, one pass over the
+fields ORs into b_l the masks below q's field l and counts them bit-sliced
+(two |= one & b_l; one |= b_l), so the complement of two, the near slots,
+are those below q in at most one field.  Both kinds of d for the copy
+lowered at x_i lie below q at i (a kept d as d_i = g_i < q_i, a missed p
+because the live set is an antichain), so they are the near slots among
+the kept mask of value g_i and the other missed slots in b_i.  A copy that
+survives differs from q in field i alone, so the first one takes q's slot
+and moves its bit in field i's dict; the others take free slots, and a q
+with no surviving copy frees its slot.  Narrow live sets stay in the list
+step because the index costs a dict per variable and a pass over every
+field of each missed q, more than a plain pass over a few dozen
+components; past about 64 the index is cheaper, and the path cells of a
+default scan spend most of their steps there.
 
 The generators are taken in their numeric order, which puts every generator
 on x_1..x_m before any that uses x_{m+1}; for a path ideal the generators of
@@ -272,6 +280,9 @@ _ABSENT = EXPONENT_CAP + 1
 # The live width above which a call moves its components into an _Index.
 _INDEX_WIDTH = 64
 
+# The most variables the squarefree oracle takes: its bitsets hold 2^nvars bits.
+_ORACLE_VARS = 20
+
 
 def intersect_components(
     components: Sequence[IrreducibleComponent], nvars: int
@@ -289,19 +300,34 @@ def intersect_components(
     return reduce(lambda a, b: a.intersect(b), ideals)
 
 
-def _lowered(g: int) -> list[tuple[int, int, int]]:
-    """(variable position j, field j's mask, g's field j) for each variable x_{j+1} of g."""
-    out = []
-    rest = g
-    while rest:
-        j = ((rest & -rest).bit_length() - 1) // _W
-        field = _FIELD << j * _W
-        out.append((j, field, g & field))
-        rest &= ~field
-    return out
+def _field_entry(j: int) -> tuple[int, int, int]:
+    """(j, field j's mask, field j's guard bit)."""
+    return (j, _FIELD << j * _W, _FIELD + 1 << j * _W)
 
 
-def _add_generator(components: list[int], g: int, guards: int) -> list[int]:
+# The entries of the first 32 fields, built once: a call on a small ideal makes
+# few steps, so building its table from scratch shows in the call's time.
+_FIELD_TABLE = tuple(map(_field_entry, range(32)))
+
+
+def _field_table(nvars: int) -> tuple[tuple[int, int, int], ...]:
+    """The entry of each field of `nvars` variables, in order."""
+    if nvars <= len(_FIELD_TABLE):
+        return _FIELD_TABLE[:nvars]
+    return tuple(map(_field_entry, range(nvars)))
+
+
+def _lowered(g: int, table: Sequence[tuple[int, int, int]]) -> list[tuple[int, int, int, int]]:
+    """(j, field j's mask, its guard bit, g's field j) for each variable x_{j+1} of g.
+
+    `table` holds the entry of every field (see _field_table).
+    """
+    return [(j, field, guard, g & field) for j, field, guard in table if g & field]
+
+
+def _add_generator(
+    components: list[int], g: int, guards: int, table: Sequence[tuple[int, int, int]]
+) -> list[int]:
     """The list step: the irredundant components of (the intersection of `components`) + <g>.
 
     `components` must be irredundant; the module docstring gives the rule.
@@ -309,13 +335,13 @@ def _add_generator(components: list[int], g: int, guards: int) -> list[int]:
     d >= m, for m the copy of q lowered at every variable of g, and lies below
     q in field i alone.
     """
-    lowered = _lowered(g)
+    lowered = _lowered(g, table)
     high = g | guards
     kept = []
     missed = []
     for q in components:
         (kept if (high - q) & guards else missed).append(q)
-    support = sum(field for _, field, _ in lowered)
+    support = sum(field for _, field, _, _ in lowered)
     raised = [d | guards for d in components]
     for q in missed:
         m = q & ~support | g
@@ -325,8 +351,8 @@ def _add_generator(components: list[int], g: int, guards: int) -> list[int]:
                 below = guards ^ (d - q) & guards
                 if below & (below - 1) == 0:
                     dead |= below
-        for j, field, value in lowered:
-            if not dead & _FIELD + 1 << j * _W:  # the guard bit of field j
+        for _, field, guard, value in lowered:
+            if not dead & guard:
                 kept.append(q & ~field | value)
     return kept
 
@@ -337,13 +363,16 @@ class _Index:
     Each component owns a slot, a bit position.  For each variable j,
     `_by_value[j]` maps every value of field j (isolated in place, _ABSENT
     included) to the mask of the slots holding it, so the components above
-    or at a value in one field are an OR of masks, and those that satisfy
-    bounds in several fields an AND of such ORs.
+    or below a value in one field are an OR of masks.  The module docstring
+    gives the step: the near slots of each missed q, and the first
+    surviving copy of q taking q's slot.  A freed slot is reused by the
+    next insert.
     """
 
-    def __init__(self, components: Sequence[int], nvars: int):
-        self._fields = [_FIELD << j * _W for j in range(nvars)]
-        self._by_value: list[dict[int, int]] = [{} for _ in range(nvars)]
+    def __init__(self, components: Sequence[int], table: Sequence[tuple[int, int, int]]):
+        self._table = table
+        self._fields = [field for _, field, _ in table]
+        self._by_value: list[dict[int, int]] = [{} for _ in table]
         self._slots: list[Optional[int]] = []
         self._free: list[int] = []
         for v in components:
@@ -370,67 +399,80 @@ class _Index:
         self._free.append(slot)
         bit = 1 << slot
         for field, by_value in zip(self._fields, self._by_value):
-            key = v & field
-            rest = by_value[key] ^ bit
-            if rest:
-                by_value[key] = rest
-            else:
-                del by_value[key]
+            _clear(by_value, v & field, bit)
+
+    def _lower(self, slot: int, j: int, field: int, value: int) -> None:
+        """Set field j of the component in `slot` to `value`, below its own."""
+        v = self._slots[slot]
+        self._slots[slot] = v & ~field | value
+        bit = 1 << slot
+        values = self._by_value[j]
+        _clear(values, v & field, bit)
+        values[value] = values.get(value, 0) | bit
 
     def add_generator(self, g: int) -> None:
         """Replace the live components by those of (their intersection) + <g>; g != 1."""
-        lowered = _lowered(g)
+        lowered = _lowered(g, self._table)
         fields, by_value, slots = self._fields, self._by_value, self._slots
         # a component misses g when it lies above g in every field.  Off supp(g)
         # g's field is 0 and no component field is (each is at least 1), so only
-        # the fields of supp(g) are tested: key > value iff key >= value + 1
+        # the fields of supp(g) are tested
         missed = -1
-        for j, _, value in lowered:
-            missed &= _at_least(by_value[j], value + 1)
-        fresh = []
+        for j, _, _, value in lowered:
+            above = 0
+            for key, mask in by_value[j].items():
+                if key > value:
+                    above |= mask
+            missed &= above
+        copies = []
         rest = missed
         while rest:
             low = rest & -rest
             rest ^= low
-            q = slots[low.bit_length() - 1]
-            # a copy of q lowered at x_j lies below a kept d with d_j = g_j, or below the
-            # copy of another missed p lowered at x_j, when d or p is >= q off field j
-            at_least = [_at_least(values, q & f) for f, values in zip(fields, by_value)]
-            others = _and_of_others(at_least)
+            slot = low.bit_length() - 1
+            q = slots[slot]
+            # below[l]: the slots below q in field l; `one` holds those below q in
+            # some field, `two` those below q in two or more
+            below = []
+            one = two = 0
+            for field, values in zip(fields, by_value):
+                key_q = q & field
+                b = 0
+                for key, mask in values.items():
+                    if key < key_q:
+                        b |= mask
+                below.append(b)
+                two |= one & b
+                one |= b
+            near = ~two
+            # the copy of q lowered at x_j is dropped for a near kept d with d_j = g_j
+            # or a near missed p below q at j: both lie below q in field j alone
             rivals = missed ^ low
-            for j, field, value in lowered:
-                if not others[j] & (by_value[j].get(value, 0) | rivals):
-                    fresh.append(q & ~field | value)
-        rest = missed
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            self._remove(low.bit_length() - 1)
+            survivors = [
+                (j, field, value)
+                for j, field, _, value in lowered
+                if not near & (by_value[j].get(value, 0) | rivals & below[j])
+            ]
+            copies.append((slot, q, survivors))
+        # the other copies go in last, into the slots the removals free
+        fresh = []
+        for slot, q, survivors in copies:
+            if survivors:
+                self._lower(slot, *survivors[0])
+                fresh += [q & ~field | value for _, field, value in survivors[1:]]
+            else:
+                self._remove(slot)
         for c in fresh:
             self._insert(c)
 
 
-def _at_least(values: dict[int, int], value: int) -> int:
-    """The slots of the masks in `values` whose key is at least `value`."""
-    slots = 0
-    for key, mask in values.items():
-        if key >= value:
-            slots |= mask
-    return slots
-
-
-def _and_of_others(masks: list[int]) -> list[int]:
-    """For each position, the AND of every mask but the one there."""
-    suffix = [-1]
-    for mask in reversed(masks):
-        suffix.append(suffix[-1] & mask)
-    suffix.reverse()
-    out = []
-    prefix = -1
-    for i, mask in enumerate(masks):
-        out.append(prefix & suffix[i + 1])
-        prefix &= mask
-    return out
+def _clear(by_value: dict[int, int], key: int, bit: int) -> None:
+    """Clear `bit` from the mask of `key`, deleting the key when its mask empties."""
+    rest = by_value[key] ^ bit
+    if rest:
+        by_value[key] = rest
+    else:
+        del by_value[key]
 
 
 def _top(m: int) -> int:
@@ -456,6 +498,7 @@ def irreducible_decomposition(
         raise ValueError("the zero ideal has no irreducible decomposition")
     nvars = ideal.nvars
     guards = _guards(nvars)
+    table = _field_table(nvars)
     packed = ideal._packed
     cuts: set[int] = set()
     start, stored = 0, None
@@ -468,9 +511,9 @@ def irreducible_decomposition(
         if isinstance(live, _Index):
             live.add_generator(packed[i])
         else:
-            live = _add_generator(live, packed[i], guards)
+            live = _add_generator(live, packed[i], guards, table)
             if len(live) > _INDEX_WIDTH:
-                live = _Index(live, nvars)
+                live = _Index(live, table)
         if i + 1 in cuts:
             cache.store(packed[: i + 1], live)
 
@@ -560,12 +603,20 @@ def minimal_primes_squarefree(ideal: MonomialIdeal) -> tuple[VarPrime, ...]:
     set bits of a packed generator in `ideal._packed` (a squarefree field
     holds 0 or 1, so vertex v is bit v * _W) and shares no code with the
     components.
+
+    The bitsets hold 2^n bits, so their time and memory double with each
+    variable: an ideal on more than _ORACLE_VARS = 20 variables is refused
+    with ValueError before any bitset is built.
     """
     if ideal.is_zero:
         raise ValueError("the zero ideal has no minimal primes")
     if not ideal.is_squarefree:
         raise ValueError("minimal_primes_squarefree requires a squarefree ideal")
     nvars = ideal.nvars
+    if nvars > _ORACLE_VARS:
+        raise ValueError(
+            f"minimal_primes_squarefree takes at most {_ORACLE_VARS} variables, got {nvars}"
+        )
     everything = (1 << (1 << nvars)) - 1
     # keyed by vertex v's bit in a packed generator: contains[v]
     contains = {

@@ -4,6 +4,7 @@ import gc
 import sys
 import time
 import tracemalloc
+from itertools import product
 from random import Random
 
 import pytest
@@ -33,6 +34,7 @@ from pathideal.decomposition import (
     _ABSENT,
     _Index,
     _add_generator,
+    _field_table,
     _guards,
     _pack,
 )
@@ -61,11 +63,11 @@ def packed(*vector):
 
 
 def list_step(components, g, nvars):
-    return _add_generator(components, g, _guards(nvars))
+    return _add_generator(components, g, _guards(nvars), _field_table(nvars))
 
 
 def indexed_step(components, g, nvars):
-    index = _Index(components, nvars)
+    index = _Index(components, _field_table(nvars))
     index.add_generator(g)
     return list(index)
 
@@ -123,6 +125,17 @@ class TestSplitting:
             intersect_components([IrreducibleComponent(3, ((1, 1),))], 7)
         with pytest.raises(ValueError, match="empty family"):
             intersect_components([], 3)
+
+    def test_rings_past_the_prebuilt_field_table(self, monkeypatch):
+        # 40 variables: past the fields whose entries are built once; 128 components, so
+        # the call moves into the index, and the list step alone gives the same
+        pairs = [(j, 41 - j) for j in range(1, 8)]
+        I = MonomialIdeal(40, [Monomial.from_support(p, 40) for p in pairs])
+        expected = sorted(tuple(sorted(c)) for c in product(*pairs))
+        comps = irreducible_decomposition(I)
+        assert primes_of(comps) == expected
+        monkeypatch.setattr(decomposition, "_INDEX_WIDTH", 1 << 20)
+        assert irreducible_decomposition(I) == comps
 
     def test_removing_any_component_enlarges_intersection(self):
         for I in (ind_ideal(5, 2).power(2), ind_ideal(4, 2).power(3)):
@@ -323,8 +336,8 @@ class TestMemoKeys:
             assert not any(0 in values for values in index._by_value)
             checked.append(index)
 
-        def checked_build(index, components, nvars):
-            build(index, components, nvars)
+        def checked_build(index, components, table):
+            build(index, components, table)
             check(index)
 
         def checked_step(index, g):
@@ -476,7 +489,7 @@ class TestGuardBits:
         components = sorted(antichain(data.draw, nvars, data.draw(st.integers(8, 60))))
         g = vectors(data.draw, EXPONENTS, nvars)
         assume(any(g))
-        index = _Index([packed(*c) for c in components], nvars)
+        index = _Index([packed(*c) for c in components], _field_table(nvars))
         index.add_generator(_pack(g))
         after = step_reference(components, g)
         assert sorted(index) == sorted(packed(*v) for v in after)
@@ -485,6 +498,35 @@ class TestGuardBits:
         assume(any(h))
         index.add_generator(_pack(h))
         assert sorted(index) == sorted(packed(*v) for v in step_reference(after, h))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_index_slots_across_a_whole_ideal(self, data):
+        # one index through every generator of a random ideal, so that slots are freed,
+        # lowered in place and reused; each step matches the list step, and every
+        # field's masks partition the live slots by their values in that field.  The
+        # generators share one degree, so none divides another and the ideal keeps them all
+        nvars, degree = data.draw(st.integers(3, 6)), data.draw(st.integers(3, 5))
+        picks = st.lists(st.integers(0, nvars - 1), min_size=degree, max_size=degree)
+        rows = data.draw(st.lists(picks, min_size=1, max_size=40))
+        ideal = MonomialIdeal(nvars, [Monomial([r.count(j) for j in range(nvars)]) for r in rows])
+        table = _field_table(nvars)
+        expected = [packed(*(_ABSENT,) * nvars)]
+        index = _Index(expected, table)
+        for g in ideal._packed:
+            expected = list_step(expected, g, nvars)
+            index.add_generator(g)
+            assert sorted(index) == sorted(expected)
+            live = {slot: v for slot, v in enumerate(index._slots) if v is not None}
+            assert sorted(index._free) == [s for s in range(len(index._slots)) if s not in live]
+            for (_, field, _), by_value in zip(table, index._by_value):
+                union = 0
+                for mask in by_value.values():
+                    assert mask and not union & mask
+                    union |= mask
+                assert union == sum(1 << slot for slot in live)
+                for slot, v in live.items():
+                    assert by_value[v & field] >> slot & 1
 
 
 class TestAssociatedPrimes:
@@ -571,6 +613,14 @@ class TestMinimalPrimes:
     def test_rejects_zero_ideal(self):
         with pytest.raises(ValueError):
             minimal_primes_squarefree(MonomialIdeal.zero(3))
+
+    def test_refuses_more_than_twenty_variables_at_once(self):
+        # the 2^21-bit subset bitsets would take seconds to build
+        I = MonomialIdeal(21, [Monomial.from_support([1, 21], 21)])
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="at most 20 variables, got 21"):
+            minimal_primes_squarefree(I)
+        assert time.perf_counter() - start < 0.1
 
     @settings(deadline=None, max_examples=150)
     @given(

@@ -351,6 +351,28 @@ MUTANTS = (
         "shifts = [(j, j * _W) for j in range(nvars)]",
         (DECOMPOSITION,),
     ),
+    # the indexed step's near test and slot reuse
+    Mutant(
+        "near slots are those below the missed component in no field",
+        "decomposition.py",
+        "near = ~two",
+        "near = ~one",
+        (DECOMPOSITION,),
+    ),
+    Mutant(
+        "rivals need not lie below the missed component at the lowered field",
+        "decomposition.py",
+        "| rivals & below[j])",
+        "| rivals)",
+        (DECOMPOSITION,),
+    ),
+    Mutant(
+        "a lowered slot keeps its bit under its old value",
+        "decomposition.py",
+        "_clear(values, v & field, bit)",
+        "pass",
+        (DECOMPOSITION,),
+    ),
     Mutant(
         "one guard bit short",
         "monomial.py",
