@@ -214,10 +214,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return 2
-    if args.format == FORMAT_STRUCTURED:
-        print(result.structured, end="")
-    else:
-        print(result.table, end="")
+    print(result.structured if args.format == FORMAT_STRUCTURED else result.table, end="")
     return result.exit_code
 
 

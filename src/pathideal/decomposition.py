@@ -79,11 +79,11 @@ import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .ideal import MonomialIdeal, _check_deadline
 from .monomial import _FIELD, _W, EXPONENT_CAP, DimensionMismatch, ExponentOverflow, Monomial
-from .monomial import _guards, _is_count, _pack, _terms
+from .monomial import _guards, _is_count, _pack, _pure_powers, _terms
 
 # The number of entries at which a DecompositionCache empties before a store.
 _CACHE_SIZE = 1 << 16
@@ -97,6 +97,11 @@ _Components = bytes
 WITNESS_IN_POWER = "u in I^k"
 WITNESS_COLON_TOO_BIG = "colon too big"
 WITNESS_COLON_TOO_SMALL = "colon too small"
+
+
+def _size_then_lex(items: tuple) -> tuple:
+    """The canonical order of primes, components and supports: size, then lexicographic."""
+    return (len(items), items)
 
 
 @dataclass(frozen=True)
@@ -130,11 +135,11 @@ class VarPrime:
 
     @property
     def sort_key(self) -> tuple:
-        return (len(self.vars), self.vars)
+        return _size_then_lex(self.vars)
 
     def as_ideal(self) -> MonomialIdeal:
         # distinct variables are already minimal generators
-        return MonomialIdeal._from_packed(self.nvars, (1 << (i - 1) * _W for i in self.vars))
+        return MonomialIdeal._from_packed(self.nvars, _pure_powers((i, 1) for i in self.vars))
 
     def __str__(self) -> str:
         return "<" + ",".join(f"x{i}" for i in self.vars) + ">"
@@ -174,7 +179,7 @@ class IrreducibleComponent:
 
     @property
     def sort_key(self) -> tuple:
-        return (len(self.powers), self.powers)
+        return _size_then_lex(self.powers)
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.powers)
@@ -184,12 +189,10 @@ class IrreducibleComponent:
 
     def as_ideal(self) -> MonomialIdeal:
         # pure powers of distinct variables are already minimal generators
-        return MonomialIdeal._from_packed(
-            self.nvars, (a << (i - 1) * _W for i, a in self.powers)
-        )
+        return MonomialIdeal._from_packed(self.nvars, _pure_powers(self.powers))
 
     def gens_text(self) -> list[str]:
-        return [text for _, text in _terms(a << (i - 1) * _W for i, a in self.powers)]
+        return [text for _, text in _terms(_pure_powers(self.powers))]
 
     def __str__(self) -> str:
         return "<" + ",".join(self.gens_text()) + ">"
@@ -305,16 +308,25 @@ def _field_entry(j: int) -> tuple[int, int, int]:
     return (j, _FIELD << j * _W, _FIELD + 1 << j * _W)
 
 
+def _wrap_entry(j: int) -> tuple[int, int]:
+    """(i, field j's shift) for the variable x_i of field j, numbered from 1."""
+    return (j + 1, j * _W)
+
+
 # The entries of the first 32 fields, built once: a call on a small ideal makes
-# few steps, so building its table from scratch shows in the call's time.
+# few steps, so building its tables from scratch shows in the call's time.
 _FIELD_TABLE = tuple(map(_field_entry, range(32)))
+_WRAP_TABLE = tuple(map(_wrap_entry, range(32)))
+
+
+def _first_fields(prebuilt: tuple, entry: Callable[[int], tuple], nvars: int) -> tuple:
+    """`entry` of each field of `nvars` variables: a slice of `prebuilt` if it reaches."""
+    return prebuilt[:nvars] if nvars <= len(prebuilt) else tuple(map(entry, range(nvars)))
 
 
 def _field_table(nvars: int) -> tuple[tuple[int, int, int], ...]:
-    """The entry of each field of `nvars` variables, in order."""
-    if nvars <= len(_FIELD_TABLE):
-        return _FIELD_TABLE[:nvars]
-    return tuple(map(_field_entry, range(nvars)))
+    """The (j, field mask, guard bit) entry of each field of `nvars` variables."""
+    return _first_fields(_FIELD_TABLE, _field_entry, nvars)
 
 
 def _lowered(g: int, table: Sequence[tuple[int, int, int]]) -> list[tuple[int, int, int, int]]:
@@ -517,7 +529,7 @@ def irreducible_decomposition(
         if i + 1 in cuts:
             cache.store(packed[: i + 1], live)
 
-    shifts = [(j + 1, j * _W) for j in range(nvars)]
+    shifts = _first_fields(_WRAP_TABLE, _wrap_entry, nvars)
     powers_list = []
     for v in live:
         powers = []
@@ -526,7 +538,7 @@ def irreducible_decomposition(
             if e != _ABSENT:
                 powers.append((j, e))
         powers_list.append(tuple(powers))
-    powers_list.sort(key=lambda powers: (len(powers), powers))
+    powers_list.sort(key=_size_then_lex)
     return tuple(IrreducibleComponent._from_kernel(nvars, powers) for powers in powers_list)
 
 
@@ -542,7 +554,7 @@ def associated_primes(
     one VarPrime.
     """
     components = irreducible_decomposition(ideal, cache=cache, deadline=deadline)
-    supports = sorted({c.support() for c in components}, key=lambda vs: (len(vs), vs))
+    supports = sorted({c.support() for c in components}, key=_size_then_lex)
     return tuple(VarPrime._from_vars(ideal.nvars, vs) for vs in supports)
 
 
@@ -641,5 +653,5 @@ def minimal_primes_squarefree(ideal: MonomialIdeal) -> tuple[VarPrime, ...]:
         subset = low.bit_length() - 1
         found.append(tuple(v + 1 for v in range(nvars) if subset >> v & 1))
         minimal ^= low
-    found.sort(key=lambda vs: (len(vs), vs))
+    found.sort(key=_size_then_lex)
     return tuple(VarPrime._from_vars(nvars, vs) for vs in found)

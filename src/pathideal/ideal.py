@@ -161,10 +161,7 @@ class MonomialIdeal:
     def is_squarefree(self) -> bool:
         # every bit of every field but its lowest
         high = _guards(self.nvars) // (_FIELD + 1) * (_FIELD - 1)
-        for g in self._packed:
-            if g & high:
-                return False
-        return True
+        return not any(g & high for g in self._packed)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -306,11 +303,8 @@ class MonomialIdeal:
         if other.is_zero:
             raise ValueError("colon by the zero ideal is undefined")
         guards = _guards(self.nvars)
-        result = None
-        for v in other._packed:
-            piece = self._colon(v, guards)
-            result = piece if result is None else result.intersect(piece)
-        return result
+        pieces = (self._colon(v, guards) for v in other._packed)
+        return reduce(lambda a, b: a.intersect(b), pieces)
 
     def radical(self) -> MonomialIdeal:
         # a field is nonzero iff adding _FIELD to it carries into its guard bit

@@ -53,6 +53,11 @@ def _pack(exponents: Sequence[int]) -> int:
     return value
 
 
+def _pure_powers(powers: Iterable[tuple[int, int]]) -> list[int]:
+    """The packed term x_i^a of each (i, a) pair, variables numbered from 1."""
+    return [a << (i - 1) * _W for i, a in powers]
+
+
 def _unpack(value: int, nvars: int) -> tuple[int, ...]:
     return tuple((value >> (j * _W)) & _FIELD for j in range(nvars))
 

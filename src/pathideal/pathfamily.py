@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .decomposition import VarPrime
 from .ideal import MonomialIdeal
-from .monomial import _W, Monomial, _is_count
+from .monomial import Monomial, _is_count, _pure_powers
 
 # Independent-set counts grow binomially; verification targets n <= 10.
 MAX_PATH_VERTICES = 24
@@ -79,26 +79,16 @@ def ind_ideal(n: int, t: int) -> MonomialIdeal:
     """The size-t independence ideal of the path on n vertices (zero if none exist)."""
     # distinct squarefree monomials of one degree are already minimal
     sets = independent_sets(n, t)
-    return MonomialIdeal._from_packed(n, (sum(1 << (v - 1) * _W for v in s) for s in sets))
+    return MonomialIdeal._from_packed(n, (sum(_pure_powers((v, 1) for v in s)) for s in sets))
 
 
 def complement_components(n: int, prime: VarPrime) -> list[int]:
     """Sizes, left to right, of the runs of consecutive vertices missing from prime."""
     if not (_is_count(n) and prime.nvars == n):
         raise ValueError(f"prime {prime} lives on {prime.nvars} variables, not n={n!r}")
-    in_prime = set(prime.vars)
-    sizes: list[int] = []
-    run = 0
-    for v in range(1, n + 1):
-        if v in in_prime:
-            if run:
-                sizes.append(run)
-            run = 0
-        else:
-            run += 1
-    if run:
-        sizes.append(run)
-    return sizes
+    # the gaps between consecutive vertices of the prime, with 0 and n + 1 at the ends
+    bounds = (0, *prime.vars, n + 1)
+    return [b - a - 1 for a, b in zip(bounds, bounds[1:]) if b - a > 1]
 
 
 class ComplementChecks(NamedTuple):

@@ -13,7 +13,8 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from itertools import takewhile
+from typing import Iterator, Optional, Sequence
 
 from . import __version__
 from .closedform import _predicted_count, predicted_ass, predicted_astab, witness_monomial
@@ -177,12 +178,27 @@ def verify_cell(
     return report
 
 
+def _chain(n: int, t: int, kmax: int, budget_seconds: float) -> Iterator[VerificationReport]:
+    """Each cell of I(n, t)^k for k = 1..kmax under `budget_seconds`, built as it is read,
+    with its persistence flag (see `persistence_scan`).  Checks n, t and kmax on the call."""
+    if not all(_is_count(v) for v in (n, t, kmax)):
+        raise ValueError("n, t and kmax must be positive integers")
+
+    def reports() -> Iterator[VerificationReport]:
+        previous: Optional[frozenset[VarPrime]] = frozenset()
+        for k in range(1, kmax + 1):
+            report = verify_cell(n, t, k, budget_seconds=budget_seconds)
+            computed = report.computed_primes
+            if computed is not None and previous is not None:
+                report.persistence = previous <= computed
+            previous = computed
+            yield report
+
+    return reports()
+
+
 def persistence_scan(
-    n: int,
-    t: int,
-    kmax: int,
-    *,
-    budget_seconds: float = DEFAULT_CELL_BUDGET_SECONDS,
+    n: int, t: int, kmax: int, *, budget_seconds: float = DEFAULT_CELL_BUDGET_SECONDS
 ) -> list[VerificationReport]:
     """Associated primes for k = 1..kmax with chain-inclusion flags.
 
@@ -190,20 +206,10 @@ def persistence_scan(
     contains the computed set at k-1 (vacuously true at k = 1).  The flag is
     None when either set is unknown: the cell at k or at k-1 is SKIPPED or ZERO.
     """
-    if not all(_is_count(v) for v in (n, t, kmax)):
-        raise ValueError("n, t and kmax must be positive integers")
+    chain = _chain(n, t, kmax, budget_seconds)  # checks the counts before kmax's bound
     if kmax < 2:
         raise ValueError("kmax must be at least 2")
-    reports = []
-    previous: Optional[frozenset[VarPrime]] = frozenset()
-    for k in range(1, kmax + 1):
-        report = verify_cell(n, t, k, budget_seconds=budget_seconds)
-        computed = report.computed_primes
-        if computed is not None and previous is not None:
-            report.persistence = previous <= computed
-        previous = computed
-        reports.append(report)
-    return reports
+    return list(chain)
 
 
 @dataclass(frozen=True)
@@ -238,19 +244,13 @@ def empirical_astab(n: int, t: int, kmax: int) -> AstabResult:
     Each power runs under DEFAULT_CELL_BUDGET_SECONDS.  A SKIPPED power leaves
     the result undetermined, so no later power is built.
     """
-    if not all(_is_count(v) for v in (n, t, kmax)):
-        raise ValueError("n, t and kmax must be positive integers")
+    chain = _chain(n, t, kmax, DEFAULT_CELL_BUDGET_SECONDS)
     predicted = predicted_astab(n, t)
-    chains: list[Optional[frozenset[VarPrime]]] = []
-    for k in range(1, kmax + 1):
-        computed = verify_cell(n, t, k).computed_primes
-        chains.append(computed)
-        if computed is None:
-            break
-    chains += [None] * (kmax - len(chains))
+    sets = (report.computed_primes for report in chain)
+    known = list(takewhile(lambda primes: primes is not None, sets))
     k0 = kmax
-    if None not in chains:
-        while k0 > 1 and chains[k0 - 2] == chains[kmax - 1]:
+    if len(known) == kmax:
+        while k0 > 1 and known[k0 - 2] == known[-1]:
             k0 -= 1
     return AstabResult(
         n=n,
@@ -258,7 +258,7 @@ def empirical_astab(n: int, t: int, kmax: int) -> AstabResult:
         kmax=kmax,
         observed=None if k0 == kmax else k0,
         predicted=predicted,
-        chain_sizes=tuple(None if c is None else len(c) for c in chains),
+        chain_sizes=tuple(map(len, known)) + (None,) * (kmax - len(known)),
     )
 
 

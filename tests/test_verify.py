@@ -265,6 +265,27 @@ def test_chain_predicts_once_per_power(monkeypatch, chain, kmax):
     assert calls == [(6, 2, k) for k in range(1, kmax + 1)]
 
 
+@pytest.mark.parametrize("skipped_k", [None, 2], ids=["finished", "skipped"])
+def test_chains_walk_the_same_cells(monkeypatch, skipped_k):
+    # both read one chain: the same cells in the same order, and astab's
+    # walk ends at its first SKIPPED power
+    cells = []
+    real_verify_cell = verify.verify_cell
+
+    def recording(n, t, k, *args, **kwargs):
+        cells.append((n, t, k))
+        return real_verify_cell(n, t, k, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "verify_cell", recording)
+    skip_power(monkeypatch, skipped_k)
+    persistence_scan(6, 2, 3)
+    persistence_cells = list(cells)
+    cells.clear()
+    empirical_astab(6, 2, 3)
+    assert persistence_cells == [(6, 2, k) for k in (1, 2, 3)]
+    assert cells == persistence_cells[: skipped_k or 3]
+
+
 class TestEmpiricalAstab:
     def test_wide_case_matches_prediction(self):
         result = empirical_astab(5, 2, 4)

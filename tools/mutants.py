@@ -109,6 +109,21 @@ MUTANTS = (
         "report.persistence = True",
         (VERIFY,),
     ),
+    # the one chain over k that persistence_scan and empirical_astab read
+    Mutant(
+        "persistence flag compares a power with itself, not with k - 1",
+        "verify.py",
+        "report.persistence = previous <= computed",
+        "report.persistence = computed <= computed",
+        (VERIFY,),
+    ),
+    Mutant(
+        "empirical_astab reads the chain past its first SKIPPED power",
+        "verify.py",
+        "known = list(takewhile(lambda primes: primes is not None, sets))",
+        "known = list(filter(lambda primes: primes is not None, sets))",
+        (VERIFY,),
+    ),
     Mutant(
         "empirical_astab reports the predicted index",
         "verify.py",
@@ -347,8 +362,15 @@ MUTANTS = (
     Mutant(
         "components get 0-based indices",
         "decomposition.py",
-        "shifts = [(j + 1, j * _W) for j in range(nvars)]",
-        "shifts = [(j, j * _W) for j in range(nvars)]",
+        "return (j + 1, j * _W)",
+        "return (j, j * _W)",
+        (DECOMPOSITION,),
+    ),
+    Mutant(
+        "canonical order drops the size",
+        "decomposition.py",
+        "return (len(items), items)",
+        "return (0, items)",
         (DECOMPOSITION,),
     ),
     # the indexed step's near test and slot reuse
