@@ -83,7 +83,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .ideal import MonomialIdeal, _check_deadline
 from .monomial import _FIELD, _W, EXPONENT_CAP, DimensionMismatch, ExponentOverflow, Monomial
-from .monomial import _guards, _is_count, _pack, _pure_powers, _terms
+from .monomial import _check_ring, _guards, _is_count, _pack, _pure_powers, _terms
 
 # The number of entries at which a DecompositionCache empties before a store.
 _CACHE_SIZE = 1 << 16
@@ -114,14 +114,9 @@ class VarPrime:
     def __post_init__(self):
         vs = tuple(self.vars)
         object.__setattr__(self, "vars", vs)
-        if not _is_count(self.nvars):
-            raise ValueError(f"nvars must be a positive integer, got {self.nvars!r}")
+        _check_ring(self.nvars, vs)
         if not vs:
             raise ValueError("a variable prime needs at least one variable")
-        if any(isinstance(v, bool) or not isinstance(v, int) for v in vs):
-            raise ValueError(f"variable indices must be integers, got {vs}")
-        if any(not 1 <= v <= self.nvars for v in vs):
-            raise ValueError(f"variable indices {vs} out of range [1, {self.nvars}]")
         if any(a >= b for a, b in zip(vs, vs[1:])):
             raise ValueError(f"variable indices must be strictly increasing, got {vs}")
 
@@ -154,13 +149,10 @@ class IrreducibleComponent:
 
     def __post_init__(self):
         items = tuple((i, a) for i, a in self.powers)
-        if not _is_count(self.nvars):
-            raise ValueError(f"nvars must be a positive integer, got {self.nvars!r}")
+        _check_ring(self.nvars, [i for i, _ in items])
         if not items:
             raise ValueError("an irreducible component needs at least one variable power")
         for i, a in items:
-            if not (_is_count(i) and i <= self.nvars):
-                raise ValueError(f"variable index {i!r} must be an integer in [1, {self.nvars}]")
             if not _is_count(a):
                 raise ValueError(f"pure power exponent must be an integer >= 1, got x{i}^{a!r}")
             if a > EXPONENT_CAP:
@@ -292,8 +284,7 @@ def intersect_components(
 ) -> MonomialIdeal:
     """Intersection of a family of components on `nvars` variables; zero components
     -> zero ideal is not meaningful here, so an empty family is rejected."""
-    if not _is_count(nvars):
-        raise ValueError(f"nvars must be a positive integer, got {nvars!r}")
+    _check_ring(nvars)
     if not components:
         raise ValueError("cannot intersect an empty family of components")
     for c in components:

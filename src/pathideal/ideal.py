@@ -10,7 +10,7 @@ from functools import reduce
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .monomial import _FIELD, _W, EXPONENT_CAP, DimensionMismatch, ExponentOverflow, Monomial
-from .monomial import _guards, _is_count, _pack, _terms, _unpack
+from .monomial import _check_ring, _guards, _is_count, _pack, _terms, _unpack
 
 
 class DeadlineExceeded(RuntimeError):
@@ -115,8 +115,7 @@ class MonomialIdeal:
     __slots__ = ("nvars", "_packed", "_gens")
 
     def __init__(self, nvars: int, gens: Iterable[Monomial] = ()):
-        if not _is_count(nvars):
-            raise ValueError(f"nvars must be a positive integer, got {nvars!r}")
+        _check_ring(nvars)
         blocks: dict[int, set[int]] = {}
         for g in gens:
             if g.nvars != nvars:

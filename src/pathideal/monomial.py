@@ -39,11 +39,17 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
-def _zeros(nvars: int) -> list[int]:
-    """The exponents of the unit monomial on nvars variables, a count."""
+def _check_ring(nvars: int, indices: Iterable[int] = ()) -> None:
+    """The one ring rule: nvars is a count and each variable index a count of at most nvars.
+
+    Every value type that takes nvars checks it here; a value that breaks
+    the rule raises ValueError.
+    """
     if not _is_count(nvars):
         raise ValueError(f"nvars must be a positive integer, got {nvars!r}")
-    return [0] * nvars
+    for i in indices:
+        if not (_is_count(i) and i <= nvars):
+            raise ValueError(f"variable index {i!r} out of range [1, {nvars}]")
 
 
 def _pack(exponents: Sequence[int]) -> int:
@@ -87,8 +93,8 @@ class DimensionMismatch(ValueError):
     """Two operands live in polynomial rings with different variable counts."""
 
 
-class ExponentOverflow(OverflowError):
-    """An exponent exceeded EXPONENT_CAP."""
+class ExponentOverflow(OverflowError, ValueError):
+    """An exponent exceeded EXPONENT_CAP; a bad input, so the command line exits 2."""
 
 
 class Monomial:
@@ -103,6 +109,8 @@ class Monomial:
 
     def __init__(self, exponents: Iterable[int]):
         exps = tuple(exponents)
+        if not exps:
+            raise ValueError("a monomial needs at least one variable")
         packed = shift = 0
         for e in exps:
             if not isinstance(e, int) or e < 0 or e.__class__ is bool:
@@ -119,30 +127,30 @@ class Monomial:
 
     @classmethod
     def one(cls, nvars: int) -> Monomial:
-        return cls(_zeros(nvars))
+        return cls.from_support((), nvars)
 
     @classmethod
     def variable(cls, index: int, nvars: int, exponent: int = 1) -> Monomial:
-        exps = _zeros(nvars)
-        if not (_is_count(index) and index <= nvars):
-            raise ValueError(f"variable index {index!r} out of range [1, {nvars}]")
+        _check_ring(nvars, (index,))
+        exps = [0] * nvars
         exps[index - 1] = exponent
         return cls(exps)
 
     @classmethod
     def from_support(cls, indices: Iterable[int], nvars: int) -> Monomial:
         """Squarefree monomial x^F for a set F of variable indices."""
-        exps = _zeros(nvars)
-        for i in indices:
-            if not (_is_count(i) and i <= nvars):
-                raise ValueError(f"variable index {i!r} out of range [1, {nvars}]")
+        support = tuple(indices)
+        _check_ring(nvars, support)
+        exps = [0] * nvars
+        for i in support:
             exps[i - 1] = 1
         return cls(exps)
 
     @classmethod
     def parse(cls, text: str, nvars: int) -> Monomial:
         """Parse the canonical textual form, e.g. ``x1*x3^2`` or ``1``."""
-        exps = _zeros(nvars)
+        _check_ring(nvars)
+        exps = [0] * nvars
         text = text.strip()
         if text == "1":
             return cls(exps)
@@ -155,8 +163,7 @@ class Monomial:
             exp = int(m.group(2)) if m.group(2) else 1
             if idx <= last:
                 raise ValueError(f"variable indices must be strictly increasing in {text!r}")
-            if not 1 <= idx <= nvars:
-                raise ValueError(f"variable index {idx} out of range [1, {nvars}]")
+            _check_ring(nvars, (idx,))
             if exp < 1:
                 raise ValueError(f"exponent must be positive in {text!r}")
             exps[idx - 1] = exp

@@ -10,7 +10,7 @@ such in the report.
 from __future__ import annotations
 
 import json
-import math
+import sys
 import time
 from dataclasses import dataclass, field
 from itertools import takewhile
@@ -40,12 +40,12 @@ class ConfigError(ValueError):
 
 
 def _is_budget(value) -> bool:
-    """A finite number of seconds above zero; a NaN deadline would never fire."""
+    """Seconds above zero within the float range: a NaN deadline would never fire, and
+    a larger int cannot be added to the clock."""
     return (
         isinstance(value, (int, float))
         and not isinstance(value, bool)
-        and math.isfinite(value)
-        and value > 0
+        and 0 < value <= sys.float_info.max
     )
 
 

@@ -651,12 +651,12 @@ class TestVarPrime:
         "indices, message",
         [
             ((), "a variable prime needs at least one variable"),
-            ((0, 2), "variable indices (0, 2) out of range [1, 3]"),
-            ((1, 4), "variable indices (1, 4) out of range [1, 3]"),
+            ((0, 2), "variable index 0 out of range [1, 3]"),
+            ((1, 4), "variable index 4 out of range [1, 3]"),
             ((2, 2), "variable indices must be strictly increasing, got (2, 2)"),
             ((3, 1), "variable indices must be strictly increasing, got (3, 1)"),
-            ((4, 1), "variable indices (4, 1) out of range [1, 3]"),
-            ((2, 0), "variable indices (2, 0) out of range [1, 3]"),
+            ((4, 1), "variable index 4 out of range [1, 3]"),
+            ((2, 0), "variable index 0 out of range [1, 3]"),
         ],
     )
     def test_invalid_indices_rejected(self, indices, message):
@@ -666,8 +666,10 @@ class TestVarPrime:
 
     @pytest.mark.parametrize("indices", [(True, 2), (1.0, 2), (1, float("nan")), (1, 2.5)])
     def test_non_integer_indices_rejected(self, indices):
-        with pytest.raises(ValueError, match="variable indices must be integers"):
+        bad = next(v for v in indices if type(v) is not int)
+        with pytest.raises(ValueError) as raised:
             VarPrime(3, indices)
+        assert str(raised.value) == f"variable index {bad!r} out of range [1, 3]"
 
     def test_unvalidated_primes_equal_validated(self):
         # predicted_ass, associated_primes and minimal_primes_squarefree build

@@ -56,6 +56,11 @@ class TestBasics:
         with pytest.raises(ExponentOverflow):
             big.mul(Monomial((1,)))
 
+    def test_empty_exponent_vector_rejected(self):
+        # no ideal holds a monomial on 0 variables
+        with pytest.raises(ValueError, match="^a monomial needs at least one variable$"):
+            Monomial(())
+
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             Monomial((1, -1))

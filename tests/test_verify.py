@@ -11,7 +11,9 @@ import pytest
 
 from pathideal import (
     DecompositionCache,
+    Monomial,
     PathCase,
+    cli,
     empirical_astab,
     grid_scan,
     persistence_scan,
@@ -22,6 +24,7 @@ from pathideal import (
 from pathideal.cli import build_parser, main
 from pathideal.decomposition import WITNESS_IN_POWER, VarPrime
 from pathideal.ideal import DeadlineExceeded, MonomialIdeal
+from pathideal.monomial import EXPONENT_CAP
 from pathideal.pathfamily import ZeroIdealError, ind_ideal
 from pathideal.verify import (
     DEFAULT_CELL_BUDGET_SECONDS,
@@ -36,8 +39,10 @@ from pathideal.verify import (
     validate_config,
 )
 
-# a NaN deadline never fires, and a boolean is not a number of seconds
-BAD_BUDGETS = [float("nan"), float("inf"), float("-inf"), 0, 0.0, -1.0, True, False]
+# a NaN deadline never fires, a boolean is not a number of seconds, and an int
+# past the float range cannot be added to the clock
+PAST_FLOAT = pytest.param(10**400, id="10**400")
+BAD_BUDGETS = [float("nan"), float("inf"), float("-inf"), 0, 0.0, -1.0, True, False, PAST_FLOAT]
 
 
 def skip_power(monkeypatch, skipped_k):
@@ -480,7 +485,9 @@ class TestConfig:
         with pytest.raises(ConfigError):
             validate_config(bad)
 
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    @pytest.mark.parametrize(
+        "literal", ["NaN", "Infinity", pytest.param("1" + "0" * 400, id="1e400")]
+    )
     def test_rejects_non_finite_budget_in_file(self, tmp_path, literal):
         # json.load accepts these literals, so they reach validate_config
         path = tmp_path / "config.json"
@@ -632,6 +639,17 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc == {"n": 4, "t": 2, "k": 2, "case": "CASE_2T", "count": None, "components": None}
         assert len(deadlines) == 2 and None not in deadlines
+
+    @pytest.mark.parametrize("command", ["decompose", "ass"])
+    def test_exponent_past_the_cap_exits_two(self, command, monkeypatch, capsys):
+        # squaring x1^CAP overflows while the power is built: a bad input, not a FAIL
+        def over(n, t):
+            return MonomialIdeal(1, [Monomial((EXPONENT_CAP,))])
+
+        monkeypatch.setattr(cli, "ind_ideal", over)
+        monkeypatch.setattr(verify, "ind_ideal", over)
+        assert main([command, "--n", "1", "--t", "1", "--k", "2"]) == 2
+        assert capsys.readouterr() == ("", f"error: a product exponent exceeds cap {EXPONENT_CAP}\n")
 
     def test_ass_pass_exit_zero(self, capsys):
         assert main(["ass", "--n", "5", "--t", "2", "--k", "2"]) == 0

@@ -132,10 +132,10 @@ MUTANTS = (
         (VERIFY,),
     ),
     Mutant(
-        "_is_budget accepts NaN and infinity",
+        "_is_budget accepts infinity",
         "verify.py",
-        "and math.isfinite(value)",
-        "and True",
+        "and 0 < value <= sys.float_info.max",
+        "and 0 < value",
         (VERIFY, GOLDEN_CLI),
     ),
     Mutant(
@@ -263,8 +263,8 @@ MUTANTS = (
     Mutant(
         "MonomialIdeal skips its nvars check",
         "ideal.py",
-        "if not _is_count(nvars):",
-        "if False:",
+        "_check_ring(nvars)",
+        "pass",
         (COUNTS,),
     ),
     Mutant(
@@ -277,8 +277,8 @@ MUTANTS = (
     Mutant(
         "intersect_components skips its nvars check",
         "decomposition.py",
-        "if not _is_count(nvars):",
-        "if False:",
+        "_check_ring(nvars)",
+        "pass",
         (COUNTS,),
     ),
     Mutant(
@@ -291,16 +291,45 @@ MUTANTS = (
     Mutant(
         "Monomial.one skips its count check",
         "monomial.py",
-        "return cls(_zeros(nvars))",
+        "return cls.from_support((), nvars)",
         "return cls([0] * nvars)",
         (COUNTS,),
     ),
     Mutant(
         "Monomial.variable skips the count rule",
         "monomial.py",
-        "if not (_is_count(index) and index <= nvars):",
-        "if not 1 <= index <= nvars:",
+        "_check_ring(nvars, (index,))",
+        "_check_ring(nvars)",
         (COUNTS,),
+    ),
+    # the one ring rule, and the errors the command line answers with exit 2
+    Mutant(
+        "the ring rule lets an index above nvars through",
+        "monomial.py",
+        "if not (_is_count(i) and i <= nvars):",
+        "if not _is_count(i):",
+        (DECOMPOSITION,),
+    ),
+    Mutant(
+        "Monomial accepts an empty exponent vector",
+        "monomial.py",
+        "if not exps:",
+        "if False:",
+        (MONOMIAL,),
+    ),
+    Mutant(
+        "ExponentOverflow is not a ValueError",
+        "monomial.py",
+        "class ExponentOverflow(OverflowError, ValueError):",
+        "class ExponentOverflow(OverflowError):",
+        (VERIFY,),
+    ),
+    Mutant(
+        "a budget past the float range raises OverflowError",
+        "verify.py",
+        "and 0 < value <= sys.float_info.max",
+        "and 0 < float(value) <= sys.float_info.max",
+        (VERIFY,),
     ),
     Mutant(
         "Monomial accepts a boolean exponent",
@@ -346,10 +375,10 @@ MUTANTS = (
         (DECOMPOSITION,),
     ),
     Mutant(
-        "VarPrime has no upper range check",
+        "VarPrime skips its index check",
         "decomposition.py",
-        "if any(not 1 <= v <= self.nvars for v in vs):",
-        "if any(not 1 <= v for v in vs):",
+        "_check_ring(self.nvars, vs)",
+        "_check_ring(self.nvars)",
         (DECOMPOSITION,),
     ),
     Mutant(
