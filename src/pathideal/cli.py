@@ -44,7 +44,7 @@ def _budget(text: str) -> float:
         value = None
     if not _is_budget(value):
         raise argparse.ArgumentTypeError(
-            f"budget must be a finite number of seconds above zero, got {text!r}"
+            f"budget must be a number of seconds in (0, sys.float_info.max], got {text!r}"
         )
     return value
 

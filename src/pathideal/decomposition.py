@@ -44,10 +44,9 @@ d_i < q_i (the first as g_i < q_i, the second as no other live component
 lies at or above q).  The list step tests every live d so.
 
 A live set wider than _INDEX_WIDTH moves, for the rest of the call, into
-an _Index: every component owns a slot, a bit position, and for each
-variable a dict maps each value of that field to the mask of the slots
-holding it.  The components that miss g are then an AND over supp(g) of the
-ORs of the masks above g's field.  For each missed q, one pass over the
+an _Index, whose docstring has its slots and per-field masks.  The
+components that miss g are an AND over supp(g) of the ORs of the masks
+above g's field.  For each missed q, one pass over the
 fields ORs into b_l the masks below q's field l and counts them bit-sliced
 (two |= one & b_l; one |= b_l), so the complement of two, the near slots,
 are those below q in at most one field.  Both kinds of d for the copy
@@ -76,14 +75,15 @@ radicals (support sets).
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .ideal import MonomialIdeal, _check_deadline
-from .monomial import _FIELD, _W, EXPONENT_CAP, DimensionMismatch, ExponentOverflow, Monomial
-from .monomial import _check_ring, _guards, _is_count, _pack, _pure_powers, _terms
+from .monomial import _W, EXPONENT_CAP, DimensionMismatch, ExponentOverflow, Monomial
+from .monomial import _check_ring, _field_table, _first_fields, _guards, _is_count, _pack
+from .monomial import _pure_powers, _terms, _top
 
 # The number of entries at which a DecompositionCache empties before a store.
 _CACHE_SIZE = 1 << 16
@@ -203,9 +203,9 @@ class DecompositionCache:
 
     A value is one bytes object: each component, a kernel vector (the module
     docstring has the layout) narrowed to its first m fields, since every
-    later field holds _ABSENT, written as (m * _W + 7) // 8 little-endian
-    bytes, one after another; one bytes value costs a fraction of a tuple of
-    ints.  `resume` reads the pieces back and fills the later fields in with
+    later field holds _ABSENT, written in the bytes `_first_fields(m)` gives,
+    one after another; one bytes value costs a fraction of a tuple of ints.
+    `resume` reads the pieces back and fills the later fields in with
     _ABSENT.  A key is a tuple of the cache's canonical ints: a table maps
     each generator value to the one int object that every stored key holding
     it shares, since the ideals of different calls bring their own ints.
@@ -231,8 +231,8 @@ class DecompositionCache:
         cut is stored.
         """
         # every m at or above the last generator's top variable would cut at the end
-        top = _top(packed[-1])
-        cuts = {bisect_left(packed, 1 << m * _W) for m in range(1, top)} - {0} | {len(packed)}
+        cuts = {bisect_right(packed, _first_fields(m)[0]) for m in range(1, _top(packed[-1]))}
+        cuts = cuts - {0} | {len(packed)}
         with self._lock:
             for start in sorted(cuts, reverse=True):
                 stored = self._data.get(packed[:start])
@@ -242,9 +242,8 @@ class DecompositionCache:
                 self.misses += 1
             else:
                 return cuts, 0, None
-        m = _top(packed[start - 1])
-        size = (m * _W + 7) // 8
-        fill = _pack((0,) * m + (_ABSENT,) * (nvars - m))
+        narrow, size = _first_fields(_top(packed[start - 1]))
+        fill = _pack((_ABSENT,) * nvars) & ~narrow
         return cuts, start, [
             int.from_bytes(stored[b : b + size], "little") + fill
             for b in range(0, len(stored), size)
@@ -252,9 +251,7 @@ class DecompositionCache:
 
     def store(self, prefix: _Prefix, components: Iterable[int]) -> None:
         """Memoize the components of the ideal generated by `prefix`, which ends at a cut."""
-        m = _top(prefix[-1])
-        narrow = (1 << m * _W) - 1
-        size = (m * _W + 7) // 8
+        narrow, size = _first_fields(_top(prefix[-1]))
         # one join: building the value piece by piece is quadratic
         value = b"".join([(v & narrow).to_bytes(size, "little") for v in components])
         with self._lock:
@@ -294,42 +291,13 @@ def intersect_components(
     return reduce(lambda a, b: a.intersect(b), ideals)
 
 
-def _field_entry(j: int) -> tuple[int, int, int]:
-    """(j, field j's mask, field j's guard bit)."""
-    return (j, _FIELD << j * _W, _FIELD + 1 << j * _W)
-
-
-def _wrap_entry(j: int) -> tuple[int, int]:
-    """(i, field j's shift) for the variable x_i of field j, numbered from 1."""
-    return (j + 1, j * _W)
-
-
-# The entries of the first 32 fields, built once: a call on a small ideal makes
-# few steps, so building its tables from scratch shows in the call's time.
-_FIELD_TABLE = tuple(map(_field_entry, range(32)))
-_WRAP_TABLE = tuple(map(_wrap_entry, range(32)))
-
-
-def _first_fields(prebuilt: tuple, entry: Callable[[int], tuple], nvars: int) -> tuple:
-    """`entry` of each field of `nvars` variables: a slice of `prebuilt` if it reaches."""
-    return prebuilt[:nvars] if nvars <= len(prebuilt) else tuple(map(entry, range(nvars)))
-
-
-def _field_table(nvars: int) -> tuple[tuple[int, int, int], ...]:
-    """The (j, field mask, guard bit) entry of each field of `nvars` variables."""
-    return _first_fields(_FIELD_TABLE, _field_entry, nvars)
-
-
-def _lowered(g: int, table: Sequence[tuple[int, int, int]]) -> list[tuple[int, int, int, int]]:
-    """(j, field j's mask, its guard bit, g's field j) for each variable x_{j+1} of g.
-
-    `table` holds the entry of every field (see _field_table).
-    """
-    return [(j, field, guard, g & field) for j, field, guard in table if g & field]
+def _lowered(g: int, table: Sequence[tuple[int, ...]]) -> list[tuple[int, int, int, int]]:
+    """(j, field j's mask, its guard bit, g's field j) for each variable x_{j+1} of g."""
+    return [(j, field, guard, g & field) for j, field, guard, _ in table if g & field]
 
 
 def _add_generator(
-    components: list[int], g: int, guards: int, table: Sequence[tuple[int, int, int]]
+    components: list[int], g: int, guards: int, table: Sequence[tuple[int, ...]]
 ) -> list[int]:
     """The list step: the irredundant components of (the intersection of `components`) + <g>.
 
@@ -372,9 +340,9 @@ class _Index:
     next insert.
     """
 
-    def __init__(self, components: Sequence[int], table: Sequence[tuple[int, int, int]]):
+    def __init__(self, components: Sequence[int], table: Sequence[tuple[int, ...]]):
         self._table = table
-        self._fields = [field for _, field, _ in table]
+        self._fields = [field for _, field, _, _ in table]
         self._by_value: list[dict[int, int]] = [{} for _ in table]
         self._slots: list[Optional[int]] = []
         self._free: list[int] = []
@@ -478,11 +446,6 @@ def _clear(by_value: dict[int, int], key: int, bit: int) -> None:
         del by_value[key]
 
 
-def _top(m: int) -> int:
-    """The number of the highest variable of a packed monomial."""
-    return (m.bit_length() - 1) // _W + 1
-
-
 def irreducible_decomposition(
     ideal: MonomialIdeal,
     *,
@@ -520,14 +483,13 @@ def irreducible_decomposition(
         if i + 1 in cuts:
             cache.store(packed[: i + 1], live)
 
-    shifts = _first_fields(_WRAP_TABLE, _wrap_entry, nvars)
     powers_list = []
     for v in live:
         powers = []
-        for j, shift in shifts:
-            e = v >> shift & _FIELD
+        for j, field, _, shift in table:
+            e = (v & field) >> shift
             if e != _ABSENT:
-                powers.append((j, e))
+                powers.append((j + 1, e))
         powers_list.append(tuple(powers))
     powers_list.sort(key=_size_then_lex)
     return tuple(IrreducibleComponent._from_kernel(nvars, powers) for powers in powers_list)

@@ -9,8 +9,8 @@ import time
 from functools import reduce
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .monomial import _FIELD, _W, EXPONENT_CAP, DimensionMismatch, ExponentOverflow, Monomial
-from .monomial import _check_ring, _guards, _is_count, _pack, _terms, _unpack
+from .monomial import EXPONENT_CAP, DimensionMismatch, ExponentOverflow, Monomial, _top, _unpack
+from .monomial import _by_degree, _check_ring, _excess, _guards, _is_count, _spill, _supports, _terms
 
 
 class DeadlineExceeded(RuntimeError):
@@ -35,13 +35,6 @@ class ImproperIdeal(ValueError):
     """
 
 
-def _excess(a: int, b: int, guards: int) -> int:
-    """a / gcd(a, b), the fieldwise max(a - b, 0); so lcm(a, b) = b + _excess(a, b)."""
-    t = (a | guards) - b
-    keep = t & guards  # the fields in which a >= b
-    return t & (keep - (keep >> (_W - 1)))
-
-
 def _divides_some(gens: Iterable[int], high: int, guards: int) -> bool:
     """Whether some packed g in `gens` divides the packed u with high = u | guards.
 
@@ -54,17 +47,6 @@ def _divides_some(gens: Iterable[int], high: int, guards: int) -> bool:
     return False
 
 
-def _by_degree(values: Iterable[int]) -> dict[int, set[int]]:
-    blocks: dict[int, set[int]] = {}
-    for g in set(values):
-        degree, rest = 0, g
-        while rest:
-            degree += rest & _FIELD
-            rest >>= _W
-        blocks.setdefault(degree, set()).add(g)
-    return blocks
-
-
 def _minimize_raw(blocks: dict[int, set[int]]) -> list[int]:
     """Minimal generators among packed vectors, given as degree -> set of vectors.
 
@@ -73,7 +55,7 @@ def _minimize_raw(blocks: dict[int, set[int]]) -> list[int]:
     degree is exact.  Equigenerated inputs degenerate to pure deduplication.
     """
     top = max((max(block, default=0) for block in blocks.values()), default=0)
-    guards = _guards(top.bit_length() // _W + 1)
+    guards = _guards(_top(top))
     kept: list[int] = []
     for _, block in sorted(blocks.items()):
         # the new block joins `kept` only once it is built
@@ -84,18 +66,17 @@ def _minimize_raw(blocks: dict[int, set[int]]) -> list[int]:
 def _products(
     rows: Sequence[int], columns: Sequence[int], nvars: int, deadline: Optional[float] = None
 ) -> dict[int, set[int]]:
-    """Every sum u + v, grouped by degree; `deadline` is checked on entry and once per row."""
-    _check_deadline(deadline, "building the power")
+    """Every sum u + v, grouped by degree; `deadline` is checked once per row."""
     guards = _guards(nvars)
     top = reduce(lambda a, b: b + _excess(a, b, guards), columns, 0)  # fieldwise max
-    spill = _pack((_FIELD - EXPONENT_CAP,) * nvars)
+    spill = _spill(top, nvars)
     by_degree = _by_degree(columns)
     sums: dict[int, set[int]] = {}
     for du, us in _by_degree(rows).items():
         for u in us:
             _check_deadline(deadline, "building the power")
             # checked before the sum is formed: past the cap it could reach its guard bit
-            if (u + top + spill) & guards:
+            if (u + spill) & guards:
                 raise ExponentOverflow(f"a product exponent exceeds cap {EXPONENT_CAP}")
             for d, vs in by_degree.items():
                 sums.setdefault(du + d, set()).update([u + v for v in vs])
@@ -158,9 +139,7 @@ class MonomialIdeal:
 
     @property
     def is_squarefree(self) -> bool:
-        # every bit of every field but its lowest
-        high = _guards(self.nvars) // (_FIELD + 1) * (_FIELD - 1)
-        return not any(g & high for g in self._packed)
+        return list(self._packed) == _supports(self._packed, self.nvars)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -238,14 +217,19 @@ class MonomialIdeal:
     def power(self, k: int, *, deadline: Optional[float] = None) -> MonomialIdeal:
         """k-th power by iterated product, minimizing after every step.
 
-        `deadline` is a `time.monotonic()` instant, checked once per row of
-        the product loop and after every minimization; past it the build
-        raises DeadlineExceeded.
+        `deadline` is a `time.monotonic()` instant, checked on entry, once per row
+        of the product loop and after every minimization: past it, DeadlineExceeded.
+        Then a generator x_i^e with k * e past the cap raises ExponentOverflow at
+        once, as x_i^(k * e) is a minimal generator of the power.
         """
         if not _is_count(k):
             raise ValueError("k must be a positive integer (the unit ideal is not modeled)")
         if self.is_zero or k == 1:
             return self
+        _check_deadline(deadline, "building the power")
+        for g, s in zip(self._packed, _supports(self._packed, self.nvars)):
+            if s & (s - 1) == 0 and k * (g // s) > EXPONENT_CAP:
+                raise ExponentOverflow(f"a product exponent exceeds cap {EXPONENT_CAP}")
         cur = self._packed
         for _ in range(k - 1):
             cur = _minimize_raw(_products(cur, self._packed, self.nvars, deadline))
@@ -306,8 +290,5 @@ class MonomialIdeal:
         return reduce(lambda a, b: a.intersect(b), pieces)
 
     def radical(self) -> MonomialIdeal:
-        # a field is nonzero iff adding _FIELD to it carries into its guard bit
-        guards = _guards(self.nvars)
-        fill = guards // (_FIELD + 1) * _FIELD
-        supports = [((g + fill) & guards) >> (_W - 1) for g in self._packed]
-        return MonomialIdeal._from_packed(self.nvars, _minimize_raw(_by_degree(supports)))
+        supports = _by_degree(_supports(self._packed, self.nvars))
+        return MonomialIdeal._from_packed(self.nvars, _minimize_raw(supports))

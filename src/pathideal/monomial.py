@@ -10,6 +10,10 @@ b's entry is at least a's.  And a <= b componentwise implies a <= b as
 integers.  A product is one integer addition.  The clipped difference
 max(a - b, 0) keeps the fields of (a | G) - b whose guard survives, and
 lcm(a, b) is b plus that difference.
+
+Every mask, guard bit, shift and field count of another module comes from
+the functions below, but for the squarefree oracle in `decomposition`: it
+reads vertex v as bit v * _W itself, to share no code with the kernel.
 """
 
 from __future__ import annotations
@@ -71,6 +75,59 @@ def _unpack(value: int, nvars: int) -> tuple[int, ...]:
 def _guards(nvars: int) -> int:
     """The guard bits of the first nvars fields: the guard bit times 1 + 2^_W + ... ."""
     return (_FIELD + 1) * (((1 << nvars * _W) - 1) // ((1 << _W) - 1))
+
+
+def _top(m: int) -> int:
+    """The number of the highest variable of a packed vector; 0 for the unit."""
+    return (m.bit_length() - 1) // _W + 1
+
+
+def _first_fields(m: int) -> tuple[int, int]:
+    """(mask, bytes) of the first m fields: a packed vector on x_1..x_m is at most mask."""
+    return (1 << m * _W) - 1, (m * _W + 7) // 8
+
+
+def _field_table(nvars: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(j, field j's mask, its guard bit, its shift) for each of the first nvars fields."""
+    if nvars <= len(_FIELD_TABLE):
+        return _FIELD_TABLE[:nvars]
+    return tuple((j, _FIELD << j * _W, _FIELD + 1 << j * _W, j * _W) for j in range(nvars))
+
+
+_FIELD_TABLE = ()
+_FIELD_TABLE = _field_table(32)  # built once: a small call's time shows building its table
+
+
+def _excess(a: int, b: int, guards: int) -> int:
+    """a / gcd(a, b), the fieldwise max(a - b, 0); so lcm(a, b) = b + _excess(a, b)."""
+    t = (a | guards) - b
+    keep = t & guards  # the fields in which a >= b
+    return t & (keep - (keep >> (_W - 1)))
+
+
+def _spill(top: int, nvars: int) -> int:
+    """top plus the room between EXPONENT_CAP and each guard bit: for a packed u,
+    (u + _spill(top, nvars)) & _guards(nvars) is nonzero iff a field of u + top passes the cap."""
+    return top + _pack((_FIELD - EXPONENT_CAP,) * nvars)
+
+
+def _supports(values: Iterable[int], nvars: int) -> list[int]:
+    """The support of each packed vector, 1 in each nonzero field: a squarefree one is its own."""
+    # a field is nonzero iff adding _FIELD to it carries into its guard bit
+    guards = _guards(nvars)
+    fill = guards // (_FIELD + 1) * _FIELD
+    return [((g + fill) & guards) >> (_W - 1) for g in values]
+
+
+def _by_degree(values: Iterable[int]) -> dict[int, set[int]]:
+    blocks: dict[int, set[int]] = {}
+    for g in set(values):
+        degree, rest = 0, g
+        while rest:
+            degree += rest & _FIELD
+            rest >>= _W
+        blocks.setdefault(degree, set()).add(g)
+    return blocks
 
 
 def _terms(values: Iterable[int]) -> list[tuple[int, str]]:

@@ -120,7 +120,7 @@ def verify_cell(
     if method not in (METHOD_DECOMPOSITION, METHOD_WITNESS):
         raise ValueError(f"unknown method {method!r}")
     if not _is_budget(budget_seconds):
-        raise ValueError("budget_seconds must be a finite number above zero")
+        raise ValueError("budget_seconds must be a number in (0, sys.float_info.max]")
     case = classify(n, t)
     if case is PathCase.ZERO:
         return VerificationReport(
@@ -302,7 +302,7 @@ def validate_config(config: dict) -> dict:
     if merged["method"] not in (METHOD_DECOMPOSITION, METHOD_WITNESS):
         raise ConfigError(f"method must be {METHOD_DECOMPOSITION!r} or {METHOD_WITNESS!r}")
     if not _is_budget(merged["cell_budget_seconds"]):
-        raise ConfigError("cell_budget_seconds must be a finite number above zero")
+        raise ConfigError("cell_budget_seconds must be a number in (0, sys.float_info.max]")
     if not _is_count(merged["parallelism"]):
         raise ConfigError("parallelism must be a positive integer")
     if not isinstance(merged["include_timings"], bool):

@@ -1,9 +1,11 @@
 """Incremental decomposition, irredundancy, associated primes, and witnesses."""
 
 import gc
+import inspect
 import sys
 import time
 import tracemalloc
+import types
 from itertools import product
 from random import Random
 
@@ -34,12 +36,9 @@ from pathideal.decomposition import (
     _ABSENT,
     _Index,
     _add_generator,
-    _field_table,
-    _guards,
-    _pack,
 )
 from pathideal.ideal import DeadlineExceeded
-from pathideal.monomial import EXPONENT_CAP, ExponentOverflow
+from pathideal.monomial import EXPONENT_CAP, ExponentOverflow, _field_table, _guards, _pack
 
 from helpers import (
     brute_witness_primes,
@@ -216,11 +215,11 @@ class TestSplitting:
                 fresh = irreducible_decomposition(I)
                 assert irreducible_decomposition(I, cache=cache) == fresh
                 assert irreducible_decomposition(I, cache=cache) == fresh
-                size = (decomposition._top(I._packed[-1]) * ideal._W + 7) // 8
+                size = (monomial._top(I._packed[-1]) * monomial._W + 7) // 8
                 assert len(cache._data[I._packed]) == len(fresh) * size
         assert cache.hits >= 60
         for key, value in cache._data.items():
-            size = (decomposition._top(key[-1]) * ideal._W + 7) // 8
+            size = (monomial._top(key[-1]) * monomial._W + 7) // 8
             assert isinstance(value, bytes) and value and len(value) % size == 0
 
     def test_either_step_alone_gives_the_same_components(self, monkeypatch):
@@ -452,11 +451,30 @@ class TestGuardBits:
     def test_layout_has_one_owner(self):
         # every layout name either module reads is monomial's own object
         for module, names in (
-            (decomposition, ("_pack", "_guards", "_W", "_FIELD")),
-            (ideal, ("_pack", "_unpack", "_guards", "_W", "_FIELD")),
+            (decomposition, ("_pack", "_guards", "_top", "_field_table", "_first_fields", "_W")),
+            (ideal, ("_unpack", "_guards", "_top", "_excess", "_by_degree", "_spill", "_supports")),
         ):
             for name in names:
                 assert getattr(module, name) is getattr(monomial, name), name
+        # ideal reads no field width or mask, and decomposition reads the width only in
+        # the squarefree oracle, which keeps its own vertex bits
+        assert not {"_W", "_FIELD"} & set(vars(ideal))
+        assert "_FIELD" not in vars(decomposition)
+
+        def names_read(code):
+            inner = [c for c in code.co_consts if isinstance(c, types.CodeType)]
+            return set(code.co_names).union(*map(names_read, inner))
+
+        owners = [decomposition, *filter(inspect.isclass, vars(decomposition).values())]
+        functions = {}
+        for owner in owners:
+            for value in vars(owner).values():
+                function = getattr(value, "__func__", getattr(value, "fget", value))
+                if inspect.isfunction(function) and function.__module__ == decomposition.__name__:
+                    functions[function.__qualname__] = names_read(function.__code__)
+        assert "_Index.add_generator" in functions  # methods are read too
+        readers = {name for name, names in functions.items() if "_W" in names}
+        assert readers == {"minimal_primes_squarefree"}
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -519,7 +537,7 @@ class TestGuardBits:
             assert sorted(index) == sorted(expected)
             live = {slot: v for slot, v in enumerate(index._slots) if v is not None}
             assert sorted(index._free) == [s for s in range(len(index._slots)) if s not in live]
-            for (_, field, _), by_value in zip(table, index._by_value):
+            for (_, field, _, _), by_value in zip(table, index._by_value):
                 union = 0
                 for mask in by_value.values():
                     assert mask and not union & mask

@@ -151,10 +151,41 @@ class TestSumProductPower:
             over.product(over)
         with pytest.raises(ExponentOverflow):
             over.power(2)
+        # no pure power here, so the power reaches the kernel's test too
+        with pytest.raises(ExponentOverflow):
+            MonomialIdeal(2, [Monomial((EXPONENT_CAP, 1))]).power(2)
         half = MonomialIdeal(2, [Monomial((EXPONENT_CAP // 2, 0)), x2])
         at_cap = Monomial((EXPONENT_CAP, 0))
         assert at_cap in half.product(half).gens
         assert at_cap in half.power(2).gens
+
+    def test_minimization_of_nothing_and_of_the_unit(self):
+        # the unit has no top variable, so its guard mask is empty
+        assert ideal_module._minimize_raw({}) == []
+        assert ideal_module._minimize_raw({0: {0}}) == [0]
+
+    def test_pure_power_overflow_raises_before_any_product(self, monkeypatch):
+        # x_i^(k * e) is a minimal generator of every power, so k * e past the cap is
+        # known at once; the product loop would run 2^20 times before it overflowed
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            raise AssertionError("a product was formed")
+
+        monkeypatch.setattr(ideal_module, "_products", counted)
+        x1 = MonomialIdeal(1, [Monomial((1,))])
+        with pytest.raises(ExponentOverflow):
+            x1.power(EXPONENT_CAP + 1)
+        with pytest.raises(ExponentOverflow):
+            MonomialIdeal(2, [Monomial((2, 0)), Monomial((1, 1))]).power(EXPONENT_CAP // 2 + 1)
+        # a spent budget is still reported as such
+        with pytest.raises(DeadlineExceeded):
+            x1.power(EXPONENT_CAP + 1, deadline=time.monotonic() - 1.0)
+        assert calls == []
+        with pytest.raises(AssertionError):  # k * e at the cap: the products run
+            x1.power(EXPONENT_CAP)
+        assert calls == [1]
 
     def test_power_chain_descends(self):
         I = ind_ideal(5, 2)
@@ -407,7 +438,6 @@ class TestTermLayout:
     @settings(deadline=None, max_examples=100)
     @given(term_rows)
     def test_monomials_carry_their_packed_value(self, shape):
-        assert monomial_module._W is ideal_module._W
         n, rows = shape
         for r in rows:
             packed = Monomial(r)._packed

@@ -1,10 +1,11 @@
 """Monomial arithmetic, parsing, and algebraic laws."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pathideal import DimensionMismatch, ExponentOverflow, Monomial
-from pathideal.monomial import EXPONENT_CAP
+from pathideal.monomial import EXPONENT_CAP, _by_degree, _excess, _field_table, _first_fields
+from pathideal.monomial import _guards, _pack, _spill, _supports, _top, _unpack
 
 
 def m(text, nvars=5):
@@ -158,3 +159,45 @@ class TestLaws:
     def test_text_roundtrip(self, v):
         a = Monomial(v)
         assert Monomial.parse(a.text(), a.nvars) == a
+
+
+# field values around 1 and the cap, with many zeros, so the zero vector shows up too
+LAYOUT_FIELDS = st.sampled_from([0, 0, 0, 1, 2, EXPONENT_CAP - 1, EXPONENT_CAP])
+
+
+class TestLayout:
+    # each layout helper against a per-field reference read through _unpack; rings of
+    # up to 40 variables reach past the 32 field table entries built at import
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_helpers_match_per_field_references(self, data):
+        nvars = data.draw(st.integers(1, 40))
+        vector = st.lists(LAYOUT_FIELDS, min_size=nvars, max_size=nvars).map(tuple)
+        a, b = data.draw(vector), data.draw(vector)
+        pa, pb, guards = _pack(a), _pack(b), _guards(nvars)
+        assert _unpack(pa, nvars) == a
+        assert _unpack(_excess(pa, pb, guards), nvars) == tuple(max(x - y, 0) for x, y in zip(a, b))
+        assert _top(pa) == max((j + 1 for j, x in enumerate(a) if x), default=0)
+        supports = _supports([pa, pb], nvars)
+        assert [_unpack(s, nvars) for s in supports] == [tuple(min(x, 1) for x in v) for v in (a, b)]
+        assert (supports[0] == pa) == all(x <= 1 for x in a)
+        spilled = (pa + _spill(pb, nvars)) & guards
+        assert bool(spilled) == any(x + y > EXPONENT_CAP for x, y in zip(a, b))
+        blocks = {}
+        for v, p in ((a, pa), (b, pb)):
+            blocks.setdefault(sum(v), set()).add(p)
+        assert _by_degree([pa, pb]) == blocks
+        m = data.draw(st.integers(0, nvars))
+        mask, size = _first_fields(m)
+        assert (pa <= mask) == (_top(pa) <= m) and (pa & mask) == _pack(a[:m] or (0,))
+        assert mask.bit_length() <= 8 * size < mask.bit_length() + 8  # the fewest bytes
+        table = _field_table(nvars)
+        assert [j for j, _, _, _ in table] == list(range(nvars))
+        assert sum(guard for _, _, guard, _ in table) == guards
+        for j, field, guard, shift in table:
+            assert (pa & field) >> shift == a[j]
+            assert _unpack(pa & field, nvars) == tuple(x if i == j else 0 for i, x in enumerate(a))
+            assert guard == field + (1 << shift)  # the bit just above the field
+
+    def test_the_unit_has_no_top_variable(self):
+        assert _top(0) == 0 and _first_fields(0) == (0, 0)

@@ -43,6 +43,8 @@ from pathideal.verify import (
 # past the float range cannot be added to the clock
 PAST_FLOAT = pytest.param(10**400, id="10**400")
 BAD_BUDGETS = [float("nan"), float("inf"), float("-inf"), 0, 0.0, -1.0, True, False, PAST_FLOAT]
+# every refusal names the rule _is_budget applies
+BUDGET_RULE = "a number in (0, sys.float_info.max]"
 
 
 def skip_power(monkeypatch, skipped_k):
@@ -185,8 +187,9 @@ class TestVerifyCell:
 
     @pytest.mark.parametrize("budget", BAD_BUDGETS)
     def test_bad_budget_rejected(self, budget):
-        with pytest.raises(ValueError, match="budget_seconds"):
+        with pytest.raises(ValueError) as exc:
             verify_cell(5, 2, 2, budget_seconds=budget)
+        assert str(exc.value) == f"budget_seconds must be {BUDGET_RULE}"
 
     @pytest.mark.parametrize(
         "function, args",
@@ -249,8 +252,9 @@ class TestPersistenceScan:
     def test_bad_budget_rejected(self, budget):
         # the zero case (2, 2) returns without decomposing, and still checks
         for n in (5, 2):
-            with pytest.raises(ValueError, match="budget_seconds"):
+            with pytest.raises(ValueError) as exc:
                 persistence_scan(n, 2, 3, budget_seconds=budget)
+            assert str(exc.value) == f"budget_seconds must be {BUDGET_RULE}"
 
 
 @pytest.mark.parametrize(
@@ -492,8 +496,9 @@ class TestConfig:
         # json.load accepts these literals, so they reach validate_config
         path = tmp_path / "config.json"
         path.write_text('{"cell_budget_seconds": %s}' % literal)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as exc:
             load_config(str(path))
+        assert str(exc.value) == f"cell_budget_seconds must be {BUDGET_RULE}"
 
     def test_over_cap_range_names_the_cap(self):
         assert validate_config({"n_range": [20, 24]})["n_range"] == [20, 24]
@@ -751,13 +756,16 @@ class TestCli:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("command", ["ass", "persistence"])
-    @pytest.mark.parametrize("budget", ["nan", "inf", "0", "-1", "soon"])
+    @pytest.mark.parametrize(
+        "budget", ["nan", "inf", "0", "-1", "soon", pytest.param("1" + "0" * 400, id="1e400")]
+    )
     def test_bad_budget_is_a_usage_error(self, command, budget, capsys):
         size = "--k" if command == "ass" else "--kmax"
         with pytest.raises(SystemExit) as exc:
             main([command, "--n", "5", "--t", "2", size, "2", "--budget", budget])
         assert exc.value.code == 2
-        assert "budget must be a finite number" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"budget must be a number of seconds in (0, sys.float_info.max], got {budget!r}\n" in err
 
     def test_invalid_params_exit_two(self, capsys):
         assert main(["gen", "--n", "0", "--t", "2"]) == 2

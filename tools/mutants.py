@@ -391,8 +391,8 @@ MUTANTS = (
     Mutant(
         "components get 0-based indices",
         "decomposition.py",
-        "return (j + 1, j * _W)",
-        "return (j, j * _W)",
+        "powers.append((j + 1, e))",
+        "powers.append((j, e))",
         (DECOMPOSITION,),
     ),
     Mutant(
@@ -429,6 +429,20 @@ MUTANTS = (
         "monomial.py",
         "return (_FIELD + 1) * (((1 << nvars * _W) - 1) // ((1 << _W) - 1))",
         "return (_FIELD + 1) * (((1 << (nvars - 1) * _W) - 1) // ((1 << _W) - 1))",
+        (IDEAL,),
+    ),
+    Mutant(
+        "_top drops its + 1",
+        "monomial.py",
+        "return (m.bit_length() - 1) // _W + 1",
+        "return (m.bit_length() - 1) // _W",
+        (MONOMIAL,),
+    ),
+    Mutant(
+        "pure-power overflow check skipped",
+        "ideal.py",
+        "if s & (s - 1) == 0 and k * (g // s) > EXPONENT_CAP:",
+        "if False:",
         (IDEAL,),
     ),
     Mutant(
