@@ -87,9 +87,9 @@ def _zero(args: argparse.Namespace, suffix: str = "", **empty) -> int:
 
 def _listing(args: argparse.Namespace, title: str, field: str, items, record) -> int:
     """Print `title` power k with a count and one line per item, and the payload `field`
-    of each item's `record`; `items` None is a cell past its budget (count and field null)."""
+    of each item's `record`; `items` None is a cell past its --budget (count and field null)."""
     if items is None:
-        status = f"SKIPPED (cell budget of {DEFAULT_CELL_BUDGET_SECONDS:g} s exceeded)"
+        status = f"SKIPPED (cell budget of {args.budget:g} s exceeded)"
         count = records = None
     else:
         status = count = len(items)
@@ -110,7 +110,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    deadline = time.monotonic() + DEFAULT_CELL_BUDGET_SECONDS
+    deadline = time.monotonic() + args.budget
     try:
         # checks n, t and then k, and returns a zero ideal unchanged
         power = ind_ideal(args.n, args.t).power(args.k, deadline=deadline)
@@ -177,7 +177,7 @@ def _cmd_persistence(args: argparse.Namespace) -> int:
 
 def _cmd_astab(args: argparse.Namespace) -> int:
     try:
-        result = empirical_astab(args.n, args.t, args.kmax)
+        result = empirical_astab(args.n, args.t, args.kmax, budget_seconds=args.budget)
     except ZeroIdealError:
         return _zero(args)
     observed = "UNDETERMINED" if result.undetermined else result.observed
@@ -251,10 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name, parents, func, text in (
         ("gen", [cell], _cmd_gen, "print the generators of the ideal"),
         ("predict", [cell, power], _cmd_predict, "print the predicted associated primes"),
-        ("decompose", [cell, power], _cmd_decompose, "irreducible components of the power"),
+        ("decompose", [cell, power, budget], _cmd_decompose, "irreducible components of the power"),
         ("ass", [cell, power, budget], _cmd_ass, "verify one cell against the prediction"),
         ("persistence", [cell, chain, budget], _cmd_persistence, "scan chain inclusions up to kmax"),
-        ("astab", [cell, chain], _cmd_astab, "empirical index of stability up to kmax"),
+        ("astab", [cell, chain, budget], _cmd_astab, "empirical index of stability up to kmax"),
     ):
         sub.add_parser(name, parents=parents, help=text).set_defaults(func=func)
     sub.choices["ass"].add_argument(

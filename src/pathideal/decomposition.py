@@ -76,8 +76,8 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import reduce
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .ideal import MonomialIdeal, _check_deadline
@@ -104,21 +104,65 @@ def _size_then_lex(items: tuple) -> tuple:
     return (len(items), items)
 
 
-@dataclass(frozen=True)
-class VarPrime:
+class _Record:
+    """The value semantics of the package's record types, written once.
+
+    A subclass lists its fields in `__slots__`, in constructor order, and
+    names in its class line the fields that `==` and `hash` leave out
+    (`uncompared`) and those its repr leaves out (`hidden`).  Two records are
+    equal when they are of one class and their compared fields are equal.  A
+    `frozen` record refuses assignment and deletion with AttributeError and
+    hashes its compared fields; any other record is unhashable.  `__reduce__`
+    rebuilds a record through its constructor from every field, so pickle
+    and copy work on frozen slots too.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, *, frozen=False, uncompared=(), hidden=()):
+        super().__init_subclass__()
+        fields = cls.__match_args__ = cls.__slots__
+        cls._fields = attrgetter(*fields)
+        cls._compared = attrgetter(*(f for f in fields if f not in uncompared))
+        cls._shown = tuple(f for f in fields if f not in hidden)
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = _Record._refuse
+            cls.__hash__ = _Record._hash
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            compared = self._compared
+            return compared(self) == compared(other)
+        return NotImplemented
+
+    def _hash(self) -> int:
+        return hash(self._compared(self))
+
+    def _refuse(self, name, *value):
+        raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), self._fields(self)
+
+
+class VarPrime(_Record, frozen=True):
     """A prime ideal generated by a subset of the variables (1-based indices)."""
 
-    nvars: int
-    vars: tuple[int, ...]
+    __slots__ = ("nvars", "vars")
 
-    def __post_init__(self):
-        vs = tuple(self.vars)
-        object.__setattr__(self, "vars", vs)
-        _check_ring(self.nvars, vs)
+    def __init__(self, nvars: int, vars: tuple[int, ...]):
+        vs = tuple(vars)
+        _check_ring(nvars, vs)
         if not vs:
             raise ValueError("a variable prime needs at least one variable")
         if any(a >= b for a, b in zip(vs, vs[1:])):
             raise ValueError(f"variable indices must be strictly increasing, got {vs}")
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "vars", vs)
 
     @classmethod
     def _from_vars(cls, nvars: int, vars: tuple[int, ...]) -> VarPrime:
@@ -140,16 +184,14 @@ class VarPrime:
         return "<" + ",".join(f"x{i}" for i in self.vars) + ">"
 
 
-@dataclass(frozen=True)
-class IrreducibleComponent:
+class IrreducibleComponent(_Record, frozen=True):
     """An ideal generated by pure variable powers: <x_i^a : (i, a) in powers>."""
 
-    nvars: int
-    powers: tuple[tuple[int, int], ...]
+    __slots__ = ("nvars", "powers")
 
-    def __post_init__(self):
-        items = tuple((i, a) for i, a in self.powers)
-        _check_ring(self.nvars, [i for i, _ in items])
+    def __init__(self, nvars: int, powers: tuple[tuple[int, int], ...]):
+        items = tuple((i, a) for i, a in powers)
+        _check_ring(nvars, [i for i, _ in items])
         if not items:
             raise ValueError("an irreducible component needs at least one variable power")
         for i, a in items:
@@ -159,6 +201,7 @@ class IrreducibleComponent:
                 raise ExponentOverflow(f"exponent {a} exceeds cap {EXPONENT_CAP}")
         if len({i for i, _ in items}) < len(items):
             raise ValueError(f"variable indices must be distinct, got {items}")
+        object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "powers", tuple(sorted(items)))
 
     @classmethod
@@ -511,13 +554,15 @@ def associated_primes(
     return tuple(VarPrime._from_vars(ideal.nvars, vs) for vs in supports)
 
 
-@dataclass(frozen=True)
-class WitnessCheck:
+class WitnessCheck(_Record, frozen=True):
     """Outcome of a colon-witness check of `prime`, with a reason code on failure."""
 
-    prime: VarPrime
-    ok: bool
-    reason: Optional[str] = None
+    __slots__ = ("prime", "ok", "reason")
+
+    def __init__(self, prime: VarPrime, ok: bool, reason: Optional[str] = None):
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "reason", reason)
 
     def __bool__(self) -> bool:
         return self.ok

@@ -219,14 +219,20 @@ class MonomialIdeal:
 
         `deadline` is a `time.monotonic()` instant, checked on entry, once per row
         of the product loop and after every minimization: past it, DeadlineExceeded.
-        Then a generator x_i^e with k * e past the cap raises ExponentOverflow at
-        once, as x_i^(k * e) is a minimal generator of the power.
+        The power of a principal ideal <g> is <g^k>, formed at once.  Otherwise a
+        generator x_i^e with k * e past the cap raises ExponentOverflow at once,
+        as x_i^(k * e) is a minimal generator of the power.
         """
         if not _is_count(k):
             raise ValueError("k must be a positive integer (the unit ideal is not modeled)")
         if self.is_zero or k == 1:
             return self
         _check_deadline(deadline, "building the power")
+        if len(self._packed) == 1:
+            (g,) = self._packed
+            if k * max(_unpack(g, self.nvars)) > EXPONENT_CAP:
+                raise ExponentOverflow(f"a product exponent exceeds cap {EXPONENT_CAP}")
+            return MonomialIdeal._from_packed(self.nvars, (k * g,))
         for g, s in zip(self._packed, _supports(self._packed, self.nvars)):
             if s & (s - 1) == 0 and k * (g // s) > EXPONENT_CAP:
                 raise ExponentOverflow(f"a product exponent exceeds cap {EXPONENT_CAP}")

@@ -12,14 +12,13 @@ from __future__ import annotations
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from itertools import takewhile
 from typing import Iterator, Optional, Sequence
 
 from . import __version__
 from .closedform import _predicted_count, predicted_ass, predicted_astab, witness_monomial
-from .decomposition import DecompositionCache, VarPrime, WitnessCheck, associated_primes
-from .decomposition import verify_witness
+from .decomposition import DecompositionCache, VarPrime, WitnessCheck, _Record
+from .decomposition import associated_primes, verify_witness
 from .ideal import DeadlineExceeded, _check_deadline
 from .monomial import _is_count
 from .pathfamily import MAX_PATH_VERTICES, PathCase, classify, ind_ideal
@@ -49,29 +48,33 @@ def _is_budget(value) -> bool:
     )
 
 
-@dataclass
-class VerificationReport:
-    """Structured outcome of one (n, t, k) comparison."""
+class VerificationReport(_Record, uncompared=("computed_primes",), hidden=("computed_primes",)):
+    """Structured outcome of one (n, t, k) comparison.
 
-    n: int
-    t: int
-    k: int
-    case: PathCase
-    method: str
-    verdict: str
-    predicted_count: int
-    computed_count: Optional[int] = None
-    missing: tuple[VarPrime, ...] = ()
-    extra: tuple[VarPrime, ...] = ()
-    persistence: Optional[bool] = None
-    one_sided: bool = False
-    witnesses: tuple[WitnessCheck, ...] = ()
-    wall_time_ms: Optional[float] = None
-    # a result, not part of the record: the computed Ass set of a decomposition
-    # cell that finished (PASS or FAIL), None for every other cell
-    computed_primes: Optional[frozenset[VarPrime]] = field(
-        default=None, repr=False, compare=False
+    `computed_primes` is a result, not part of the record: the computed Ass
+    set of a decomposition cell that finished (PASS or FAIL), None for every
+    other cell.  `==` and the repr leave it out.
+    """
+
+    __slots__ = (
+        "n", "t", "k", "case", "method", "verdict", "predicted_count", "computed_count",
+        "missing", "extra", "persistence", "one_sided", "witnesses", "wall_time_ms",
+        "computed_primes",
     )
+
+    def __init__(
+        self, n: int, t: int, k: int, case: PathCase, method: str, verdict: str,
+        predicted_count: int, computed_count: Optional[int] = None,
+        missing: tuple[VarPrime, ...] = (), extra: tuple[VarPrime, ...] = (),
+        persistence: Optional[bool] = None, one_sided: bool = False,
+        witnesses: tuple[WitnessCheck, ...] = (), wall_time_ms: Optional[float] = None,
+        computed_primes: Optional[frozenset[VarPrime]] = None,
+    ):
+        self.n, self.t, self.k, self.case, self.method = n, t, k, case, method
+        self.verdict, self.predicted_count = verdict, predicted_count
+        self.computed_count, self.missing, self.extra = computed_count, missing, extra
+        self.persistence, self.one_sided, self.witnesses = persistence, one_sided, witnesses
+        self.wall_time_ms, self.computed_primes = wall_time_ms, computed_primes
 
     def to_record(self, include_timings: bool = False) -> dict:
         """Fixed-field-order dict for serialization."""
@@ -212,8 +215,7 @@ def persistence_scan(
     return list(chain)
 
 
-@dataclass(frozen=True)
-class AstabResult:
+class AstabResult(_Record, frozen=True):
     """Empirical index of stability from a bounded scan of powers.
 
     `observed` is None when the scan window cannot certify stabilization:
@@ -222,12 +224,14 @@ class AstabResult:
     and those of every later power are None.
     """
 
-    n: int
-    t: int
-    kmax: int
-    observed: Optional[int]
-    predicted: int
-    chain_sizes: tuple[Optional[int], ...]
+    __slots__ = ("n", "t", "kmax", "observed", "predicted", "chain_sizes")
+
+    def __init__(
+        self, n: int, t: int, kmax: int, observed: Optional[int], predicted: int,
+        chain_sizes: tuple[Optional[int], ...],
+    ):
+        for name, value in zip(self.__slots__, (n, t, kmax, observed, predicted, chain_sizes)):
+            object.__setattr__(self, name, value)
 
     @property
     def undetermined(self) -> bool:
@@ -238,13 +242,15 @@ class AstabResult:
         return None if self.observed is None else self.observed == self.predicted
 
 
-def empirical_astab(n: int, t: int, kmax: int) -> AstabResult:
+def empirical_astab(
+    n: int, t: int, kmax: int, *, budget_seconds: float = DEFAULT_CELL_BUDGET_SECONDS
+) -> AstabResult:
     """Smallest k0 with Ass stable from k0 through kmax, compared to the prediction.
 
-    Each power runs under DEFAULT_CELL_BUDGET_SECONDS.  A SKIPPED power leaves
-    the result undetermined, so no later power is built.
+    Each power runs under `budget_seconds`.  A SKIPPED power leaves the result
+    undetermined, so no later power is built.
     """
-    chain = _chain(n, t, kmax, DEFAULT_CELL_BUDGET_SECONDS)
+    chain = _chain(n, t, kmax, budget_seconds)
     predicted = predicted_astab(n, t)
     sets = (report.computed_primes for report in chain)
     known = list(takewhile(lambda primes: primes is not None, sets))
@@ -322,13 +328,17 @@ def load_config(path: str) -> dict:
     return validate_config(raw)
 
 
-@dataclass
-class ScanResult:
-    config: dict
-    reports: list[VerificationReport]
-    exit_code: int
-    structured: str = field(repr=False, default="")
-    table: str = field(repr=False, default="")
+class ScanResult(_Record, hidden=("structured", "table")):
+    """A grid scan's config, reports and exit code, with both rendered report forms."""
+
+    __slots__ = ("config", "reports", "exit_code", "structured", "table")
+
+    def __init__(
+        self, config: dict, reports: list[VerificationReport], exit_code: int,
+        structured: str = "", table: str = "",
+    ):
+        self.config, self.reports, self.exit_code = config, reports, exit_code
+        self.structured, self.table = structured, table
 
 
 def _verdict_counts(reports: Sequence[VerificationReport]) -> dict[str, int]:

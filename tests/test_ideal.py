@@ -151,9 +151,9 @@ class TestSumProductPower:
             over.product(over)
         with pytest.raises(ExponentOverflow):
             over.power(2)
-        # no pure power here, so the power reaches the kernel's test too
+        # neither a pure power nor a principal ideal, so the power reaches the kernel's test too
         with pytest.raises(ExponentOverflow):
-            MonomialIdeal(2, [Monomial((EXPONENT_CAP, 1))]).power(2)
+            MonomialIdeal(2, [Monomial((EXPONENT_CAP, 1)), Monomial((1, 2))]).power(2)
         half = MonomialIdeal(2, [Monomial((EXPONENT_CAP // 2, 0)), x2])
         at_cap = Monomial((EXPONENT_CAP, 0))
         assert at_cap in half.product(half).gens
@@ -174,18 +174,42 @@ class TestSumProductPower:
             raise AssertionError("a product was formed")
 
         monkeypatch.setattr(ideal_module, "_products", counted)
-        x1 = MonomialIdeal(1, [Monomial((1,))])
+        # two generators: a principal ideal's power takes a shortcut of its own
+        pure = MonomialIdeal(2, [Monomial((1, 0)), Monomial((0, 1))])
         with pytest.raises(ExponentOverflow):
-            x1.power(EXPONENT_CAP + 1)
+            pure.power(EXPONENT_CAP + 1)
         with pytest.raises(ExponentOverflow):
             MonomialIdeal(2, [Monomial((2, 0)), Monomial((1, 1))]).power(EXPONENT_CAP // 2 + 1)
         # a spent budget is still reported as such
         with pytest.raises(DeadlineExceeded):
-            x1.power(EXPONENT_CAP + 1, deadline=time.monotonic() - 1.0)
+            pure.power(EXPONENT_CAP + 1, deadline=time.monotonic() - 1.0)
         assert calls == []
         with pytest.raises(AssertionError):  # k * e at the cap: the products run
-            x1.power(EXPONENT_CAP)
+            pure.power(EXPONENT_CAP)
         assert calls == [1]
+
+    def test_principal_power_is_formed_at_once(self, monkeypatch):
+        # <g>^k = <g^k>: no product is formed, and k * g_j past the cap is known at once
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            raise AssertionError("a product was formed")
+
+        monkeypatch.setattr(ideal_module, "_products", counted)
+        path = ind_ideal(3, 2)  # <x1*x3>
+        assert path.power(5) == ideal(3, "x1^5*x3^5")
+        mixed = ideal(3, "x1^2*x2")
+        assert mixed.power(EXPONENT_CAP // 2).gens == (
+            Monomial((EXPONENT_CAP, EXPONENT_CAP // 2, 0)),
+        )
+        with pytest.raises(ExponentOverflow):
+            path.power(EXPONENT_CAP + 1)
+        with pytest.raises(ExponentOverflow):
+            mixed.power(EXPONENT_CAP // 2 + 1)
+        with pytest.raises(DeadlineExceeded):
+            path.power(EXPONENT_CAP + 1, deadline=time.monotonic() - 1.0)
+        assert calls == []
 
     def test_power_chain_descends(self):
         I = ind_ideal(5, 2)

@@ -205,7 +205,7 @@ class TestVerifyCell:
         # the prediction for n = 60 runs for minutes; the cap check comes first
         start = time.monotonic()
         with pytest.raises(ValueError, match="exceeds the enumeration cap 24"):
-            function(*args, **({} if function is empirical_astab else {"budget_seconds": 1}))
+            function(*args, budget_seconds=1)
         assert time.monotonic() - start < 1.0
 
     def test_unknown_method_rejected(self):
@@ -690,10 +690,30 @@ class TestCli:
         assert main(["astab", "--n", "2", "--t", "2", "--kmax", "3"]) == 0
         assert capsys.readouterr().out == "zero ideal for n=2, t=2\n"
 
-    @pytest.mark.parametrize("command, size", [("ass", "--k"), ("persistence", "--kmax")])
+    @pytest.mark.parametrize(
+        "command, size",
+        [("ass", "--k"), ("persistence", "--kmax"), ("decompose", "--k"), ("astab", "--kmax")],
+    )
     def test_default_budget_is_the_cell_default(self, command, size):
         args = build_parser().parse_args([command, "--n", "5", "--t", "2", size, "2"])
         assert args.budget == DEFAULT_CELL_BUDGET_SECONDS
+
+    @pytest.mark.parametrize(
+        "command, size",
+        [("ass", "--k"), ("persistence", "--kmax"), ("decompose", "--k"), ("astab", "--kmax")],
+    )
+    def test_budget_sets_every_power_deadline(self, command, size, monkeypatch, capsys):
+        deadlines = skip_power(monkeypatch, None)
+        assert main([command, "--n", "5", "--t", "2", size, "3", "--budget", "0.5"]) == 0
+        end = time.monotonic()
+        assert deadlines and all(d <= end + 0.5 for d in deadlines)
+
+    def test_decompose_skipped_power_names_its_budget(self, monkeypatch, capsys):
+        skip_power(monkeypatch, 2)
+        assert main(["decompose", "--n", "4", "--t", "2", "--k", "2", "--budget", "0.25"]) == 0
+        assert capsys.readouterr().out == (
+            "irreducible components of power 2: SKIPPED (cell budget of 0.25 s exceeded)\n"
+        )
 
     def test_scan_writes_both_reports(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -755,12 +775,12 @@ class TestCli:
             main(["ass", "--n", "5"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("command", ["ass", "persistence"])
+    @pytest.mark.parametrize("command", ["ass", "persistence", "decompose", "astab"])
     @pytest.mark.parametrize(
         "budget", ["nan", "inf", "0", "-1", "soon", pytest.param("1" + "0" * 400, id="1e400")]
     )
     def test_bad_budget_is_a_usage_error(self, command, budget, capsys):
-        size = "--k" if command == "ass" else "--kmax"
+        size = "--k" if command in ("ass", "decompose") else "--kmax"
         with pytest.raises(SystemExit) as exc:
             main([command, "--n", "5", "--t", "2", size, "2", "--budget", budget])
         assert exc.value.code == 2

@@ -39,6 +39,7 @@ MONOMIAL = "tests/test_monomial.py"
 CLOSEDFORM = "tests/test_closedform.py"
 PATHFAMILY = "tests/test_pathfamily.py"
 COUNTS = "tests/test_counts.py"
+RECORDS = "tests/test_records.py"
 GOLDEN_ALGEBRA = "tests/golden/test_golden.py::test_sections_match_recorded_hashes[algebra]"
 GOLDEN_CLI = "tests/golden/test_golden.py::test_sections_match_recorded_hashes[cli]"
 
@@ -137,6 +138,20 @@ MUTANTS = (
         "and 0 < value <= sys.float_info.max",
         "and 0 < value",
         (VERIFY, GOLDEN_CLI),
+    ),
+    Mutant(
+        "pathideal astab ignores its budget",
+        "cli.py",
+        "result = empirical_astab(args.n, args.t, args.kmax, budget_seconds=args.budget)",
+        "result = empirical_astab(args.n, args.t, args.kmax)",
+        (VERIFY,),
+    ),
+    Mutant(
+        "pathideal decompose ignores its budget",
+        "cli.py",
+        "deadline = time.monotonic() + args.budget",
+        "deadline = time.monotonic() + DEFAULT_CELL_BUDGET_SECONDS",
+        (VERIFY,),
     ),
     Mutant(
         "pathideal ass exits 0 on FAIL",
@@ -377,8 +392,8 @@ MUTANTS = (
     Mutant(
         "VarPrime skips its index check",
         "decomposition.py",
-        "_check_ring(self.nvars, vs)",
-        "_check_ring(self.nvars)",
+        "_check_ring(nvars, vs)",
+        "_check_ring(nvars)",
         (DECOMPOSITION,),
     ),
     Mutant(
@@ -401,6 +416,35 @@ MUTANTS = (
         "return (len(items), items)",
         "return (0, items)",
         (DECOMPOSITION,),
+    ),
+    # the value semantics of the record types
+    Mutant(
+        "record equality without the class check",
+        "decomposition.py",
+        "if other.__class__ is self.__class__:",
+        "if True:",
+        (RECORDS,),
+    ),
+    Mutant(
+        "a report compares its computed primes",
+        "verify.py",
+        'class VerificationReport(_Record, uncompared=("computed_primes",), hidden=("computed_primes",)):',
+        'class VerificationReport(_Record, hidden=("computed_primes",)):',
+        (RECORDS,),
+    ),
+    Mutant(
+        "a frozen record takes assignment",
+        "decomposition.py",
+        "cls.__setattr__ = cls.__delattr__ = _Record._refuse",
+        "cls.__delattr__ = _Record._refuse",
+        (RECORDS,),
+    ),
+    Mutant(
+        "__reduce__ drops the last field",
+        "decomposition.py",
+        "return type(self), self._fields(self)",
+        "return type(self), self._fields(self)[:-1]",
+        (RECORDS,),
     ),
     # the indexed step's near test and slot reuse
     Mutant(
@@ -442,6 +486,13 @@ MUTANTS = (
         "pure-power overflow check skipped",
         "ideal.py",
         "if s & (s - 1) == 0 and k * (g // s) > EXPONENT_CAP:",
+        "if False:",
+        (IDEAL,),
+    ),
+    Mutant(
+        "principal power skips its overflow check",
+        "ideal.py",
+        "if k * max(_unpack(g, self.nvars)) > EXPONENT_CAP:",
         "if False:",
         (IDEAL,),
     ),
