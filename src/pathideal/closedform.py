@@ -15,7 +15,7 @@ from typing import Iterator, Optional
 
 from .decomposition import IrreducibleComponent, VarPrime
 from .ideal import _check_deadline
-from .monomial import Monomial, _is_count
+from .monomial import Monomial, _check_counts
 from .pathfamily import PathCase, ZeroIdealError, _check_cap, classify
 
 __all__ = [
@@ -74,8 +74,7 @@ def predicted_ass(
     lists; crossing it raises DeadlineExceeded.  A nonzero cell with n above
     MAX_PATH_VERTICES raises ValueError before any list is built.
     """
-    if not _is_count(k):
-        raise ValueError("k must be a positive integer")
+    _check_counts(k=k)
     top = min(predicted_astab(n, t), k)
     _check_cap(n)
     lists = chain.from_iterable(
@@ -126,8 +125,7 @@ def predicted_decomposition_2t(t: int, k: int) -> tuple[IrreducibleComponent, ..
     Components are <x_i^r, x_j^{k+1-r}> over odd i < even j in [2t] and
     1 <= r <= k; there are exactly k * t(t+1)/2 of them.
     """
-    if not (_is_count(t) and _is_count(k)):
-        raise ValueError("t and k must be positive integers")
+    _check_counts(t=t, k=k)
     n = 2 * t
     components = [
         IrreducibleComponent(n, ((i, r), (j, k + 1 - r)))
@@ -155,8 +153,7 @@ def witness_monomial(n: int, t: int, k: int, prime: VarPrime) -> Monomial:
           tail    = x_{i_1} x_{i_3} ... x_{i_{2L-3}},
       u = (x^A * block_1)^(k-L+1) * prod_{j=2}^{L-1} (x^A * block_j) * (x^A * tail).
     """
-    if not _is_count(k):
-        raise ValueError("k must be a positive integer")
+    _check_counts(k=k)
     astab = predicted_astab(n, t)  # raises for a zero ideal before the prime is read
     level = _parity_level(n, t, prime.vars) if prime.nvars == n else None
     if level is None or level > astab:

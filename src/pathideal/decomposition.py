@@ -81,8 +81,8 @@ from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .ideal import MonomialIdeal, _check_deadline
-from .monomial import _W, EXPONENT_CAP, DimensionMismatch, ExponentOverflow, Monomial
-from .monomial import _check_ring, _field_table, _first_fields, _guards, _is_count, _pack
+from .monomial import _W, EXPONENT_CAP, ExponentOverflow, Monomial, _check_counts, _check_ring
+from .monomial import _check_same_ring, _field_table, _first_fields, _guards, _is_count, _pack
 from .monomial import _pure_powers, _terms, _top
 
 # The number of entries at which a DecompositionCache empties before a store.
@@ -328,8 +328,7 @@ def intersect_components(
     if not components:
         raise ValueError("cannot intersect an empty family of components")
     for c in components:
-        if c.nvars != nvars:
-            raise DimensionMismatch(f"a component has {c.nvars} variables, not {nvars}")
+        _check_same_ring(nvars, c.nvars)
     ideals = [c.as_ideal() for c in components]
     return reduce(lambda a, b: a.intersect(b), ideals)
 
@@ -580,8 +579,7 @@ def verify_witness(
 
     `power` may carry a precomputed I^k to avoid recomputation in sweeps.
     """
-    if not _is_count(k):
-        raise ValueError("k must be a positive integer")
+    _check_counts(k=k)
     ik = power if power is not None else ideal.power(k)
     if ik.contains(u):
         return WitnessCheck(prime, False, WITNESS_IN_POWER)

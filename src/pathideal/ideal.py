@@ -9,8 +9,9 @@ import time
 from functools import reduce
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .monomial import EXPONENT_CAP, DimensionMismatch, ExponentOverflow, Monomial, _top, _unpack
-from .monomial import _by_degree, _check_ring, _excess, _guards, _is_count, _spill, _supports, _terms
+from .monomial import EXPONENT_CAP, ExponentOverflow, Monomial, _by_degree, _check_counts
+from .monomial import _check_ring, _check_same_ring, _excess, _guards, _spill, _supports, _terms
+from .monomial import _top, _unpack
 
 
 class DeadlineExceeded(RuntimeError):
@@ -99,10 +100,7 @@ class MonomialIdeal:
         _check_ring(nvars)
         blocks: dict[int, set[int]] = {}
         for g in gens:
-            if g.nvars != nvars:
-                raise DimensionMismatch(
-                    f"generator {g} has {g.nvars} variables, ideal has {nvars}"
-                )
+            _check_same_ring(nvars, g.nvars)
             blocks.setdefault(g.degree, set()).add(g._packed)
         self._store(nvars, _minimize_raw(blocks))
 
@@ -149,7 +147,7 @@ class MonomialIdeal:
         )
 
     def equals(self, other: MonomialIdeal) -> bool:
-        self._check_same_ring(other)
+        _check_same_ring(self.nvars, other.nvars)
         return self._packed == other._packed
 
     def __hash__(self) -> int:
@@ -171,22 +169,10 @@ class MonomialIdeal:
     def __str__(self) -> str:
         return "<" + (", ".join(self._texts()) if self._packed else "0") + ">"
 
-    def _check_same_ring(self, other: MonomialIdeal) -> None:
-        if self.nvars != other.nvars:
-            raise DimensionMismatch(
-                f"ideals have {self.nvars} and {other.nvars} variables"
-            )
-
-    def _check_monomial(self, m: Monomial) -> None:
-        if m.nvars != self.nvars:
-            raise DimensionMismatch(
-                f"monomial has {m.nvars} variables, ideal has {self.nvars}"
-            )
-
     # -- membership and containment -------------------------------------------
 
     def contains(self, m: Monomial) -> bool:
-        self._check_monomial(m)
+        _check_same_ring(self.nvars, m.nvars)
         guards = _guards(self.nvars)
         return _divides_some(self._packed, m._packed | guards, guards)
 
@@ -194,21 +180,21 @@ class MonomialIdeal:
         return self.contains(m)
 
     def is_subset(self, other: MonomialIdeal) -> bool:
-        self._check_same_ring(other)
+        _check_same_ring(self.nvars, other.nvars)
         guards, theirs = _guards(self.nvars), other._packed
         return all(_divides_some(theirs, u | guards, guards) for u in self._packed)
 
     # -- algebra ---------------------------------------------------------------
 
     def sum(self, other: MonomialIdeal) -> MonomialIdeal:
-        self._check_same_ring(other)
+        _check_same_ring(self.nvars, other.nvars)
         packed = _by_degree(self._packed + other._packed)
         return MonomialIdeal._from_packed(self.nvars, _minimize_raw(packed))
 
     __add__ = sum
 
     def product(self, other: MonomialIdeal) -> MonomialIdeal:
-        self._check_same_ring(other)
+        _check_same_ring(self.nvars, other.nvars)
         prods = _products(self._packed, other._packed, self.nvars)
         return MonomialIdeal._from_packed(self.nvars, _minimize_raw(prods))
 
@@ -219,15 +205,18 @@ class MonomialIdeal:
 
         `deadline` is a `time.monotonic()` instant, checked on entry, once per row
         of the product loop and after every minimization: past it, DeadlineExceeded.
-        The power of a principal ideal <g> is <g^k>, formed at once.  Otherwise a
+        Past the entry check, a k above the cap raises ExponentOverflow, as g^k is a
+        minimal generator of the power for each generator g of least degree.  The
+        power of a principal ideal <g> is <g^k>, formed at once.  Otherwise a
         generator x_i^e with k * e past the cap raises ExponentOverflow at once,
         as x_i^(k * e) is a minimal generator of the power.
         """
-        if not _is_count(k):
-            raise ValueError("k must be a positive integer (the unit ideal is not modeled)")
+        _check_counts(k=k)
         if self.is_zero or k == 1:
             return self
         _check_deadline(deadline, "building the power")
+        if k > EXPONENT_CAP:
+            raise ExponentOverflow(f"a product exponent exceeds cap {EXPONENT_CAP}")
         if len(self._packed) == 1:
             (g,) = self._packed
             if k * max(_unpack(g, self.nvars)) > EXPONENT_CAP:
@@ -255,7 +244,7 @@ class MonomialIdeal:
         a packed vector is never numerically larger: each is kept unless a
         kept generator below it divides it.
         """
-        self._check_same_ring(other)
+        _check_same_ring(self.nvars, other.nvars)
         guards, theirs = _guards(self.nvars), other._packed
         inside: list[int] = []
         lcms: set[int] = set()
@@ -279,7 +268,7 @@ class MonomialIdeal:
 
         Raises ImproperIdeal if u lies in I (the colon would be the unit ideal).
         """
-        self._check_monomial(u)
+        _check_same_ring(self.nvars, u.nvars)
         return self._colon(u._packed, _guards(self.nvars))
 
     def _colon(self, v: int, guards: int) -> MonomialIdeal:
@@ -288,7 +277,7 @@ class MonomialIdeal:
 
     def colon_ideal(self, other: MonomialIdeal) -> MonomialIdeal:
         """The intersection of the I : v over the generators v of `other`."""
-        self._check_same_ring(other)
+        _check_same_ring(self.nvars, other.nvars)
         if other.is_zero:
             raise ValueError("colon by the zero ideal is undefined")
         guards = _guards(self.nvars)

@@ -43,17 +43,29 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
+def _check_counts(**counts) -> None:
+    """Raise ValueError naming the first of the keyword arguments that is not a count."""
+    for name, value in counts.items():
+        if not _is_count(value):
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 def _check_ring(nvars: int, indices: Iterable[int] = ()) -> None:
     """The one ring rule: nvars is a count and each variable index a count of at most nvars.
 
     Every value type that takes nvars checks it here; a value that breaks
     the rule raises ValueError.
     """
-    if not _is_count(nvars):
-        raise ValueError(f"nvars must be a positive integer, got {nvars!r}")
+    _check_counts(nvars=nvars)
     for i in indices:
         if not (_is_count(i) and i <= nvars):
             raise ValueError(f"variable index {i!r} out of range [1, {nvars}]")
+
+
+def _check_same_ring(nvars: int, other: int) -> None:
+    """The one ring-agreement rule: operands on nvars and on `other` variables must agree."""
+    if other != nvars:
+        raise DimensionMismatch(f"operands have {nvars} and {other} variables")
 
 
 def _pack(exponents: Sequence[int]) -> int:
@@ -259,14 +271,8 @@ class Monomial:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check_same_ring(self, other: Monomial) -> None:
-        if len(self.exponents) != len(other.exponents):
-            raise DimensionMismatch(
-                f"operands have {len(self.exponents)} and {len(other.exponents)} variables"
-            )
-
     def mul(self, other: Monomial) -> Monomial:
-        self._check_same_ring(other)
+        _check_same_ring(self.nvars, other.nvars)
         return Monomial(a + b for a, b in zip(self.exponents, other.exponents))
 
     __mul__ = mul
@@ -277,20 +283,20 @@ class Monomial:
         return Monomial(e * k for e in self.exponents)
 
     def divides(self, other: Monomial) -> bool:
-        self._check_same_ring(other)
+        _check_same_ring(self.nvars, other.nvars)
         return all(a <= b for a, b in zip(self.exponents, other.exponents))
 
     def gcd(self, other: Monomial) -> Monomial:
-        self._check_same_ring(other)
+        _check_same_ring(self.nvars, other.nvars)
         return Monomial(a if a < b else b for a, b in zip(self.exponents, other.exponents))
 
     def lcm(self, other: Monomial) -> Monomial:
-        self._check_same_ring(other)
+        _check_same_ring(self.nvars, other.nvars)
         return Monomial(a if a > b else b for a, b in zip(self.exponents, other.exponents))
 
     def quotient(self, other: Monomial) -> Monomial:
         """self / gcd(self, other): exponents clip at zero."""
-        self._check_same_ring(other)
+        _check_same_ring(self.nvars, other.nvars)
         return Monomial(
             a - b if a > b else 0 for a, b in zip(self.exponents, other.exponents)
         )

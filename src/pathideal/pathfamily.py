@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .decomposition import VarPrime
 from .ideal import MonomialIdeal
-from .monomial import Monomial, _is_count, _pure_powers
+from .monomial import Monomial, _check_counts, _check_same_ring, _is_count, _pure_powers
 
 # Independent-set counts grow binomially; verification targets n <= 10.
 MAX_PATH_VERTICES = 24
@@ -41,8 +41,7 @@ class ZeroIdealError(ValueError):
 
 
 def classify(n: int, t: int) -> PathCase:
-    if not (_is_count(n) and _is_count(t)):
-        raise ValueError("n and t must be positive integers")
+    _check_counts(n=n, t=t)
     if t == 1:
         return PathCase.DEGENERATE_T1
     if n < 2 * t - 1:
@@ -84,8 +83,8 @@ def ind_ideal(n: int, t: int) -> MonomialIdeal:
 
 def complement_components(n: int, prime: VarPrime) -> list[int]:
     """Sizes, left to right, of the runs of consecutive vertices missing from prime."""
-    if not (_is_count(n) and prime.nvars == n):
-        raise ValueError(f"prime {prime} lives on {prime.nvars} variables, not n={n!r}")
+    _check_counts(n=n)
+    _check_same_ring(n, prime.nvars)
     # the gaps between consecutive vertices of the prime, with 0 and n + 1 at the ends
     bounds = (0, *prime.vars, n + 1)
     return [b - a - 1 for a, b in zip(bounds, bounds[1:]) if b - a > 1]
@@ -118,8 +117,7 @@ def parity_complement_checks(n: int, t: int, prime: VarPrime, level: int) -> Com
         raise ZeroIdealError(n, t)
     if not (_is_count(level) and level <= t):
         raise ValueError(f"level {level!r} must be an integer in [1, {t}]")
-    if prime.nvars != n:
-        raise ValueError(f"prime {prime} lives on {prime.nvars} variables, not n={n}")
+    _check_same_ring(n, prime.nvars)
 
     b = prime.vars
     b_set = set(b)

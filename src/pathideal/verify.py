@@ -20,7 +20,7 @@ from .closedform import _predicted_count, predicted_ass, predicted_astab, witnes
 from .decomposition import DecompositionCache, VarPrime, WitnessCheck, _Record
 from .decomposition import associated_primes, verify_witness
 from .ideal import DeadlineExceeded, _check_deadline
-from .monomial import _is_count
+from .monomial import _check_counts, _is_count
 from .pathfamily import MAX_PATH_VERTICES, PathCase, classify, ind_ideal
 
 METHOD_DECOMPOSITION = "decomposition"
@@ -118,8 +118,7 @@ def verify_cell(
     SKIPPED verdict, never a silent pass.  A decomposition cell that finishes
     carries its computed set in `computed_primes`.
     """
-    if not all(_is_count(v) for v in (n, t, k)):
-        raise ValueError("n, t and k must be positive integers")
+    _check_counts(n=n, t=t, k=k)
     if method not in (METHOD_DECOMPOSITION, METHOD_WITNESS):
         raise ValueError(f"unknown method {method!r}")
     if not _is_budget(budget_seconds):
@@ -184,8 +183,7 @@ def verify_cell(
 def _chain(n: int, t: int, kmax: int, budget_seconds: float) -> Iterator[VerificationReport]:
     """Each cell of I(n, t)^k for k = 1..kmax under `budget_seconds`, built as it is read,
     with its persistence flag (see `persistence_scan`).  Checks n, t and kmax on the call."""
-    if not all(_is_count(v) for v in (n, t, kmax)):
-        raise ValueError("n, t and kmax must be positive integers")
+    _check_counts(n=n, t=t, kmax=kmax)
 
     def reports() -> Iterator[VerificationReport]:
         previous: Optional[frozenset[VarPrime]] = frozenset()
@@ -303,6 +301,7 @@ def validate_config(config: dict) -> dict:
             or rng[0] > rng[1]
         ):
             raise ConfigError(f"{key} must be [lo, hi] with 1 <= lo <= hi")
+        merged[key] = list(rng)  # a copy: a defaulted range is DEFAULT_CONFIG's own list
     if merged["n_range"][1] > MAX_PATH_VERTICES:
         raise ConfigError(f"n_range may not go above the path-vertex cap {MAX_PATH_VERTICES}")
     if merged["method"] not in (METHOD_DECOMPOSITION, METHOD_WITNESS):

@@ -104,13 +104,13 @@ class TestPredictedAss:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 7.5, True, 0, -1])
     def test_non_counts_rejected(self, bad):
         # NaN and fractional parameters once gave a stability index and primes
-        with pytest.raises(ValueError, match="k must be a positive integer"):
-            predicted_ass(5, 2, bad)
+        calls = [(predicted_ass, (5, 2, bad), "k")]
         for call in (predicted_astab, predicted_ntf):
-            with pytest.raises(ValueError, match="n and t must be positive integers"):
-                call(bad, 2)
-            with pytest.raises(ValueError, match="n and t must be positive integers"):
-                call(7, bad)
+            calls += [(call, (bad, 2), "n"), (call, (7, bad), "t")]
+        for call, args, name in calls:
+            with pytest.raises(ValueError) as refusal:
+                call(*args)
+            assert str(refusal.value) == f"{name} must be a positive integer, got {bad!r}"
 
     def test_tight_case_constant_in_k(self):
         for k in (1, 2, 5):

@@ -1,14 +1,18 @@
 """One count rule: every public n, t, k, kmax, level and nvars is a positive int.
 
 NaN, infinity, fractions, booleans, 0 and -1 each raise ValueError from the
-library, and 0 and -1 in any integer flag make the command line exit 2.
+library, named in the message, and 0 and -1 in any integer flag make the
+command line exit 2 with that message.  And one ring-agreement rule: operands
+on different variable counts raise DimensionMismatch.
 """
 
+import inspect
 from functools import partial
 
 import pytest
 
 from pathideal import (
+    DimensionMismatch,
     IrreducibleComponent,
     Monomial,
     MonomialIdeal,
@@ -95,13 +99,23 @@ def test_valid_counts_accepted(function, args):
     function(*args)
 
 
+# the range rules name the value and its range, not the argument
+RANGE_REFUSALS = {
+    "index": "variable index {bad!r} out of range [1, 3]",
+    "level": "level {bad!r} must be an integer in [1, 2]",
+}
+
+
 @pytest.mark.parametrize("bad", NON_COUNTS, ids=repr)
 @pytest.mark.parametrize("function, args, position", ROWS)
 def test_non_counts_rejected(function, args, position, bad):
+    name = list(inspect.signature(function).parameters)[position]
     args = list(args)
     args[position] = bad
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as refusal:
         function(*args)
+    template = RANGE_REFUSALS.get(name, "{name} must be a positive integer, got {bad!r}")
+    assert str(refusal.value) == template.format(name=name, bad=bad)
 
 
 # (subcommand, its integer flags with valid values); 5, 2 is a nonzero cell,
@@ -130,4 +144,49 @@ def test_cli_non_counts_exit_two(command, flags, flag, bad, capsys):
     for name, value in {**flags, flag: bad}.items():
         argv += [name, value]
     assert main(argv) == 2
-    assert capsys.readouterr().out == ""
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {flag[2:]} must be a positive integer, got {bad}\n"
+
+
+I3 = MonomialIdeal(3, [Monomial((1, 1, 0))])
+I4 = MonomialIdeal(4, [Monomial((1, 0, 0, 1))])
+M3, M4 = Monomial((1, 0, 1)), Monomial((0, 1, 0, 1))
+ON_FOUR = VarPrime(4, (1, 2, 3))
+
+# (name, callable, arguments, the two variable counts the refusal names)
+RING_CALLS = [
+    ("MonomialIdeal", MonomialIdeal, (3, [M3, M4]), (3, 4)),
+    ("MonomialIdeal.equals", I3.equals, (I4,), (3, 4)),
+    ("MonomialIdeal.contains", I3.contains, (M4,), (3, 4)),
+    ("MonomialIdeal.is_subset", I3.is_subset, (I4,), (3, 4)),
+    ("MonomialIdeal.sum", I3.sum, (I4,), (3, 4)),
+    ("MonomialIdeal.product", I3.product, (I4,), (3, 4)),
+    ("MonomialIdeal.intersect", I3.intersect, (I4,), (3, 4)),
+    ("MonomialIdeal.colon_monomial", I3.colon_monomial, (M4,), (3, 4)),
+    ("MonomialIdeal.colon_ideal", I3.colon_ideal, (I4,), (3, 4)),
+    ("Monomial.mul", M3.mul, (M4,), (3, 4)),
+    ("Monomial.divides", M3.divides, (M4,), (3, 4)),
+    ("Monomial.gcd", M3.gcd, (M4,), (3, 4)),
+    ("Monomial.lcm", M3.lcm, (M4,), (3, 4)),
+    ("Monomial.quotient", M3.quotient, (M4,), (3, 4)),
+    (
+        "intersect_components",
+        intersect_components,
+        ([IrreducibleComponent(3, ((1, 2),)), IrreducibleComponent(4, ((1, 2),))], 3),
+        (3, 4),
+    ),
+    ("complement_components", complement_components, (3, ON_FOUR), (3, 4)),
+    ("parity_complement_checks", parity_complement_checks, (5, 2, ON_FOUR, 1), (5, 4)),
+    # u lies outside I^k, so the colon meets the prime's ideal
+    ("verify_witness", verify_witness, (ind_ideal(5, 2), 1, WITNESS, ON_FOUR), (5, 4)),
+]
+
+
+@pytest.mark.parametrize(
+    "function, args, counts", [c[1:] for c in RING_CALLS], ids=[c[0] for c in RING_CALLS]
+)
+def test_ring_mismatch_rejected(function, args, counts):
+    with pytest.raises(DimensionMismatch) as refusal:
+        function(*args)
+    assert str(refusal.value) == "operands have {} and {} variables".format(*counts)

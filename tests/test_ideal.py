@@ -211,6 +211,23 @@ class TestSumProductPower:
             path.power(EXPONENT_CAP + 1, deadline=time.monotonic() - 1.0)
         assert calls == []
 
+    def test_power_past_the_cap_raises_before_any_product(self, monkeypatch):
+        # g^k is a minimal generator of I^k for g of least degree, so k past the cap
+        # overflows on every nonzero ideal, though no generator here is a pure power
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            raise AssertionError("a product was formed")
+
+        monkeypatch.setattr(ideal_module, "_products", counted)
+        path = ind_ideal(4, 2)  # <x1*x3, x1*x4, x2*x4>
+        with pytest.raises(ExponentOverflow):
+            path.power(EXPONENT_CAP + 1)
+        with pytest.raises(DeadlineExceeded):
+            path.power(EXPONENT_CAP + 1, deadline=time.monotonic() - 1.0)
+        assert calls == []
+
     def test_power_chain_descends(self):
         I = ind_ideal(5, 2)
         for k in range(1, 4):

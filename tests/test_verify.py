@@ -1,6 +1,7 @@
 """Cell verification, persistence scans, stability scans, grid scans, and the CLI."""
 
 import hashlib
+import inspect
 import json
 import re
 import threading
@@ -86,8 +87,10 @@ def test_non_count_parameters_rejected(function, args, position, bad):
     # a boolean is an int to Python, and would otherwise be echoed as "k": true
     args = list(args)
     args[position] = bad
-    with pytest.raises(ValueError, match="must be positive integers"):
+    name = list(inspect.signature(function).parameters)[position]
+    with pytest.raises(ValueError) as refusal:
         function(*args)
+    assert str(refusal.value) == f"{name} must be a positive integer, got {bad!r}"
 
 
 class TestVerifyCell:
@@ -459,6 +462,14 @@ class TestConfig:
         config = validate_config({})
         assert config["t_values"] == [2, 3]
         assert config["method"] == METHOD_DECOMPOSITION
+
+    def test_returned_ranges_are_copies(self):
+        # a defaulted range once was DEFAULT_CONFIG's own list, so this edit reached the next scan
+        config = validate_config({})
+        config["n_range"][1] = 3
+        config["k_range"][1] = 1
+        assert validate_config({})["n_range"] == [3, 8]
+        assert validate_config({})["k_range"] == [1, 3]
 
     def test_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):

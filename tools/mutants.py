@@ -104,6 +104,13 @@ MUTANTS = (
         (VERIFY,),
     ),
     Mutant(
+        "validate_config returns DEFAULT_CONFIG's own ranges",
+        "verify.py",
+        "merged[key] = list(rng)",
+        "merged[key] = rng",
+        (VERIFY,),
+    ),
+    Mutant(
         "persistence_scan always persistent",
         "verify.py",
         "report.persistence = previous <= computed",
@@ -269,10 +276,17 @@ MUTANTS = (
         (COUNTS,),
     ),
     Mutant(
+        "_check_counts lets a bad value through",
+        "monomial.py",
+        "if not _is_count(value):",
+        "if False:",
+        (COUNTS,),
+    ),
+    Mutant(
         "MonomialIdeal.power skips its count check",
         "ideal.py",
-        "if not _is_count(k):",
-        "if False:",
+        "_check_counts(k=k)",
+        "pass",
         (COUNTS,),
     ),
     Mutant(
@@ -285,8 +299,8 @@ MUTANTS = (
     Mutant(
         "verify_witness skips its count check",
         "decomposition.py",
-        "if not _is_count(k):",
-        "if False:",
+        "_check_counts(k=k)",
+        "pass",
         (COUNTS,),
     ),
     Mutant(
@@ -299,9 +313,16 @@ MUTANTS = (
     Mutant(
         "intersect_components ignores a component on another ring",
         "decomposition.py",
-        "if c.nvars != nvars:",
-        "if False:",
+        "_check_same_ring(nvars, c.nvars)",
+        "pass",
         (DECOMPOSITION,),
+    ),
+    Mutant(
+        "the ring-agreement rule lets a mismatch through",
+        "monomial.py",
+        "if other != nvars:",
+        "if False:",
+        (COUNTS,),
     ),
     Mutant(
         "Monomial.one skips its count check",
@@ -490,6 +511,13 @@ MUTANTS = (
         (IDEAL,),
     ),
     Mutant(
+        "a power past the cap reaches the product loop",
+        "ideal.py",
+        "if k > EXPONENT_CAP:",
+        "if False:",
+        (IDEAL,),
+    ),
+    Mutant(
         "principal power skips its overflow check",
         "ideal.py",
         "if k * max(_unpack(g, self.nvars)) > EXPONENT_CAP:",
@@ -499,8 +527,8 @@ MUTANTS = (
     Mutant(
         "classify accepts NaN",
         "pathfamily.py",
-        "if not (_is_count(n) and _is_count(t)):",
-        "if n < 1 or t < 1:",
+        "_check_counts(n=n, t=t)",
+        "if n < 1 or t < 1: raise ValueError(f'n={n}, t={t}')",
         (PATHFAMILY, CLOSEDFORM),
     ),
     Mutant(
