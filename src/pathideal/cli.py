@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .closedform import predicted_ass, predicted_astab, predicted_ntf
+from .closedform import predicted_ass, predicted_ntf
 from .decomposition import irreducible_decomposition
 from .ideal import DeadlineExceeded
 from .pathfamily import PathCase, ZeroIdealError, classify, ind_ideal

@@ -9,9 +9,8 @@ import time
 from functools import reduce
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .monomial import EXPONENT_CAP, ExponentOverflow, Monomial, _by_degree, _check_counts
-from .monomial import _check_ring, _check_same_ring, _excess, _guards, _spill, _supports, _terms
-from .monomial import _top, _unpack
+from .monomial import Monomial, _by_degree, _check_cap, _check_counts, _check_ring
+from .monomial import _check_same_ring, _excess, _guards, _supports, _terms, _top, _unpack
 
 
 class DeadlineExceeded(RuntimeError):
@@ -65,20 +64,16 @@ def _minimize_raw(blocks: dict[int, set[int]]) -> list[int]:
 
 
 def _products(
-    rows: Sequence[int], columns: Sequence[int], nvars: int, deadline: Optional[float] = None
+    rows: Sequence[int], columns: Sequence[int], deadline: Optional[float] = None
 ) -> dict[int, set[int]]:
-    """Every sum u + v, grouped by degree; `deadline` is checked once per row."""
-    guards = _guards(nvars)
-    top = reduce(lambda a, b: b + _excess(a, b, guards), columns, 0)  # fieldwise max
-    spill = _spill(top, nvars)
+    """Every sum u + v, grouped by degree; `deadline` is checked once per row.
+    No sum is tested: a field holds the sum of two in-cap exponents, and the
+    callers test the minimal sums."""
     by_degree = _by_degree(columns)
     sums: dict[int, set[int]] = {}
     for du, us in _by_degree(rows).items():
         for u in us:
             _check_deadline(deadline, "building the power")
-            # checked before the sum is formed: past the cap it could reach its guard bit
-            if (u + spill) & guards:
-                raise ExponentOverflow(f"a product exponent exceeds cap {EXPONENT_CAP}")
             for d, vs in by_degree.items():
                 sums.setdefault(du + d, set()).update([u + v for v in vs])
     return sums
@@ -194,9 +189,11 @@ class MonomialIdeal:
     __add__ = sum
 
     def product(self, other: MonomialIdeal) -> MonomialIdeal:
+        """I * J; ExponentOverflow if one of its minimal generators is past the cap."""
         _check_same_ring(self.nvars, other.nvars)
-        prods = _products(self._packed, other._packed, self.nvars)
-        return MonomialIdeal._from_packed(self.nvars, _minimize_raw(prods))
+        prods = _minimize_raw(_products(self._packed, other._packed))
+        _check_cap(prods, self.nvars)
+        return MonomialIdeal._from_packed(self.nvars, prods)
 
     __mul__ = product
 
@@ -205,29 +202,27 @@ class MonomialIdeal:
 
         `deadline` is a `time.monotonic()` instant, checked on entry, once per row
         of the product loop and after every minimization: past it, DeadlineExceeded.
-        Past the entry check, a k above the cap raises ExponentOverflow, as g^k is a
-        minimal generator of the power for each generator g of least degree.  The
-        power of a principal ideal <g> is <g^k>, formed at once.  Otherwise a
-        generator x_i^e with k * e past the cap raises ExponentOverflow at once,
-        as x_i^(k * e) is a minimal generator of the power.
+        ExponentOverflow exactly when some I^j with j <= k has a minimal generator
+        past the cap: each step's minimal generators are tested.  Before any product,
+        g^k is tested for each generator g of least degree and each pure power
+        x_i^e, as each such g^k is a minimal generator of I^k; that refuses a k past
+        the cap at once.  The power of a principal ideal <g> is <g^k>, formed at once.
         """
         _check_counts(k=k)
         if self.is_zero or k == 1:
             return self
         _check_deadline(deadline, "building the power")
-        if k > EXPONENT_CAP:
-            raise ExponentOverflow(f"a product exponent exceeds cap {EXPONENT_CAP}")
+        blocks = _by_degree(self._packed)
+        least = blocks[min(blocks)]
+        supports = _supports(self._packed, self.nvars)
+        pure = [g for g, s in zip(self._packed, supports) if s & (s - 1) == 0]
+        _check_cap([*least, *pure], self.nvars, k)
         if len(self._packed) == 1:
-            (g,) = self._packed
-            if k * max(_unpack(g, self.nvars)) > EXPONENT_CAP:
-                raise ExponentOverflow(f"a product exponent exceeds cap {EXPONENT_CAP}")
-            return MonomialIdeal._from_packed(self.nvars, (k * g,))
-        for g, s in zip(self._packed, _supports(self._packed, self.nvars)):
-            if s & (s - 1) == 0 and k * (g // s) > EXPONENT_CAP:
-                raise ExponentOverflow(f"a product exponent exceeds cap {EXPONENT_CAP}")
+            return MonomialIdeal._from_packed(self.nvars, (k * self._packed[0],))
         cur = self._packed
         for _ in range(k - 1):
-            cur = _minimize_raw(_products(cur, self._packed, self.nvars, deadline))
+            cur = _minimize_raw(_products(cur, self._packed, deadline))
+            _check_cap(cur, self.nvars)
             _check_deadline(deadline, "building the power")
         return MonomialIdeal._from_packed(self.nvars, cur)
 

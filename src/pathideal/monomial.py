@@ -7,9 +7,10 @@ comes from EXPONENT_CAP, so it is the same in every call.  With G the guard
 bits of all fields, a <= b componentwise iff ((b | G) - a) & G == G: no
 field borrows from its neighbour, and a field keeps its guard exactly when
 b's entry is at least a's.  And a <= b componentwise implies a <= b as
-integers.  A product is one integer addition.  The clipped difference
-max(a - b, 0) keeps the fields of (a | G) - b whose guard survives, and
-lcm(a, b) is b plus that difference.
+integers.  A product is one integer addition, as a field holds the sum of
+two exponents at the cap; _check_cap tests the minimal sums.  The clipped
+difference max(a - b, 0) keeps the fields of (a | G) - b whose guard
+survives, and lcm(a, b) is b plus that difference.
 
 Every mask, guard bit, shift and field count of another module comes from
 the functions below, but for the squarefree oracle in `decomposition`: it
@@ -26,9 +27,9 @@ from typing import Iterable, Sequence
 # poison every downstream comparison.
 EXPONENT_CAP = 1 << 20
 
-# A field holds up to EXPONENT_CAP + 1 (the decomposition's marker of an unused
-# variable) below its guard bit.
-_W = (EXPONENT_CAP + 1).bit_length() + 1
+# A field holds the sum of two exponents at the cap below its guard bit, so two
+# in-cap vectors add with no test, and EXPONENT_CAP + 1 marks an unused variable.
+_W = (2 * EXPONENT_CAP).bit_length() + 1
 _FIELD = (1 << (_W - 1)) - 1
 
 _TERM_RE = re.compile(r"x(\d+)(?:\^(\d+))?$")
@@ -117,10 +118,13 @@ def _excess(a: int, b: int, guards: int) -> int:
     return t & (keep - (keep >> (_W - 1)))
 
 
-def _spill(top: int, nvars: int) -> int:
-    """top plus the room between EXPONENT_CAP and each guard bit: for a packed u,
-    (u + _spill(top, nvars)) & _guards(nvars) is nonzero iff a field of u + top passes the cap."""
-    return top + _pack((_FIELD - EXPONENT_CAP,) * nvars)
+def _check_cap(values: Iterable[int], nvars: int, k: int = 1) -> None:
+    """The one cap rule of a product or power: ExponentOverflow if some packed v in
+    `values` has a field e, below its guard bit, with k * e past EXPONENT_CAP."""
+    guards = _guards(nvars)
+    high = guards // (_FIELD + 1) * (EXPONENT_CAP // k) | guards  # cap // k in every field
+    if any((high - v) & guards != guards for v in values):  # a field of v borrowed
+        raise ExponentOverflow(f"a product exponent exceeds cap {EXPONENT_CAP}")
 
 
 def _supports(values: Iterable[int], nvars: int) -> list[int]:

@@ -452,13 +452,18 @@ class TestGuardBits:
         # every layout name either module reads is monomial's own object
         for module, names in (
             (decomposition, ("_pack", "_guards", "_top", "_field_table", "_first_fields", "_W")),
-            (ideal, ("_unpack", "_guards", "_top", "_excess", "_by_degree", "_spill", "_supports")),
+            (
+                ideal,
+                ("_unpack", "_guards", "_top", "_excess", "_by_degree", "_check_cap", "_supports"),
+            ),
         ):
             for name in names:
                 assert getattr(module, name) is getattr(monomial, name), name
         # ideal reads no field width or mask, and decomposition reads the width only in
         # the squarefree oracle, which keeps its own vertex bits
         assert not {"_W", "_FIELD"} & set(vars(ideal))
+        # and ideal tests the cap only through monomial's _check_cap
+        assert not {"EXPONENT_CAP", "ExponentOverflow"} & set(vars(ideal))
         assert "_FIELD" not in vars(decomposition)
 
         def names_read(code):

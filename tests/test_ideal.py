@@ -1,6 +1,7 @@
 """Ideal algebra: minimization, membership, sums/products/powers, colon, radical."""
 
 import time
+from operator import add
 from random import Random
 
 import pytest
@@ -35,6 +36,28 @@ def m(text, nvars):
 
 def ideal(nvars, *texts):
     return MonomialIdeal(nvars, [m(t, nvars) for t in texts])
+
+
+def reference_product(rows_a, rows_b):
+    """The minimal generators of the product of two ideals, on exponent tuples."""
+    return naive_minimize([tuple(map(add, u, v)) for u in rows_a for v in rows_b])
+
+
+# exponents at and around 1, half the cap and the cap
+CAP_ENTRIES = st.sampled_from(
+    [0, 1, 2, 3] + [EXPONENT_CAP // 2 + d for d in (-1, 0, 1)] + [EXPONENT_CAP - 1, EXPONENT_CAP]
+)
+
+
+def cap_case(n):
+    """(n, rows of I, rows of J, k): up to four nonzero generators each on n variables."""
+    row = st.lists(CAP_ENTRIES, min_size=n, max_size=n).filter(any).map(tuple)
+    rows = st.lists(row, max_size=4)
+    return st.tuples(st.just(n), rows, rows, st.sampled_from([2, 3]))
+
+
+# x1*x2^2*x3^h squared passes the cap, but it is a multiple of (x2^3*x3)(x1^2*x3)
+PAST_CAP_NOT_MINIMAL = [(0, 3, 1), (1, 2, EXPONENT_CAP // 2 + 1), (2, 0, 1)]
 
 
 class TestMinimize:
@@ -151,13 +174,41 @@ class TestSumProductPower:
             over.product(over)
         with pytest.raises(ExponentOverflow):
             over.power(2)
-        # neither a pure power nor a principal ideal, so the power reaches the kernel's test too
+        # neither a pure power nor a principal ideal, so the power reaches the step's test
         with pytest.raises(ExponentOverflow):
             MonomialIdeal(2, [Monomial((EXPONENT_CAP, 1)), Monomial((1, 2))]).power(2)
         half = MonomialIdeal(2, [Monomial((EXPONENT_CAP // 2, 0)), x2])
         at_cap = Monomial((EXPONENT_CAP, 0))
         assert at_cap in half.product(half).gens
         assert at_cap in half.power(2).gens
+
+    def test_a_product_past_the_cap_that_is_not_minimal_is_no_overflow(self):
+        rows = PAST_CAP_NOT_MINIMAL
+        I = MonomialIdeal(3, [Monomial(r) for r in rows])
+        square = reference_product(rows, rows)
+        assert max(map(max, square)) == EXPONENT_CAP // 2 + 2
+        for result in (I.power(2), I.product(I)):
+            assert sorted(g.exponents for g in result.gens) == square
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(2, 3).flatmap(cap_case))
+    @example((3, PAST_CAP_NOT_MINIMAL, PAST_CAP_NOT_MINIMAL, 2))
+    def test_overflow_exactly_when_a_minimal_generator_passes_the_cap(self, case):
+        # power(k) refuses iff some I^j, j <= k, has a minimal generator past the cap,
+        # and a product iff one of its own minimal generators is
+        n, rows_i, rows_j, k = case
+        I, J = (MonomialIdeal(n, [Monomial(r) for r in rows]) for rows in (rows_i, rows_j))
+        gens_i = naive_minimize(rows_i)
+        powers = [gens_i]
+        while len(powers) < k:
+            powers.append(reference_product(powers[-1], gens_i))
+        product = reference_product(gens_i, naive_minimize(rows_j))
+        for call, chain in ((lambda: I.power(k), powers), (lambda: I.product(J), [product])):
+            if any(e > EXPONENT_CAP for gens in chain for g in gens for e in g):
+                with pytest.raises(ExponentOverflow, match="a product exponent exceeds cap"):
+                    call()
+            else:
+                assert sorted(g.exponents for g in call().gens) == chain[-1]
 
     def test_minimization_of_nothing_and_of_the_unit(self):
         # the unit has no top variable, so its guard mask is empty
@@ -180,6 +231,9 @@ class TestSumProductPower:
             pure.power(EXPONENT_CAP + 1)
         with pytest.raises(ExponentOverflow):
             MonomialIdeal(2, [Monomial((2, 0)), Monomial((1, 1))]).power(EXPONENT_CAP // 2 + 1)
+        # x1^5 is not of least degree, so only the test of the pure powers refuses it early
+        with pytest.raises(ExponentOverflow):
+            MonomialIdeal(2, [Monomial((5, 0)), Monomial((0, 1))]).power(EXPONENT_CAP // 5 + 1)
         # a spent budget is still reported as such
         with pytest.raises(DeadlineExceeded):
             pure.power(EXPONENT_CAP + 1, deadline=time.monotonic() - 1.0)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from pathideal import DimensionMismatch, ExponentOverflow, Monomial
 from pathideal.monomial import EXPONENT_CAP, _by_degree, _excess, _field_table, _first_fields
-from pathideal.monomial import _guards, _pack, _spill, _supports, _top, _unpack
+from pathideal.monomial import _check_cap, _guards, _pack, _supports, _top, _unpack
 
 
 def m(text, nvars=5):
@@ -181,8 +181,16 @@ class TestLayout:
         supports = _supports([pa, pb], nvars)
         assert [_unpack(s, nvars) for s in supports] == [tuple(min(x, 1) for x in v) for v in (a, b)]
         assert (supports[0] == pa) == all(x <= 1 for x in a)
-        spilled = (pa + _spill(pb, nvars)) & guards
-        assert bool(spilled) == any(x + y > EXPONENT_CAP for x, y in zip(a, b))
+        # a field holds the sum of two in-cap exponents, so a product is one addition
+        total = tuple(x + y for x, y in zip(a, b))
+        assert _unpack(pa + pb, nvars) == total
+        for k in (1, 2, 3):  # the cap test of the k-th power of a vector and of a sum
+            for v, pv in ((a, pa), (total, pa + pb)):
+                if any(k * x > EXPONENT_CAP for x in v):
+                    with pytest.raises(ExponentOverflow, match="a product exponent exceeds cap"):
+                        _check_cap([0, pv], nvars, k)
+                else:
+                    _check_cap([0, pv], nvars, k)
         blocks = {}
         for v, p in ((a, pa), (b, pb)):
             blocks.setdefault(sum(v), set()).add(p)

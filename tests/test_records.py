@@ -1,4 +1,5 @@
-"""The value semantics of the six record types, and what importing the package loads.
+"""The value semantics of the six record types, what importing the package loads,
+and that every module of the package reads each name it imports.
 
 Each row pins one type as its dataclass definition behaved: the repr, `==`
 and `hash` over the compared fields, refusal of assignment and deletion on
@@ -6,6 +7,7 @@ the frozen types, pickle and deepcopy round trips, and the constructor's
 parameter names and defaults.
 """
 
+import ast
 import copy
 import inspect
 import pickle
@@ -189,3 +191,27 @@ def test_cold_import_loads_no_dataclass_machinery():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_every_imported_name_is_read():
+    # a module reads every name it imports; `__init__` re-exports through `__all__`,
+    # which counts as a read, and `from __future__` imports are compiler switches
+    unread = []
+    for path in sorted(Path(pathideal.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        if path.name == "__init__.py":
+            read |= set(pathideal.__all__)
+        unread += [f"{path.name}: {name}" for name in sorted(imported - read)]
+    assert unread == []

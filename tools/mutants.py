@@ -504,25 +504,53 @@ MUTANTS = (
         (MONOMIAL,),
     ),
     Mutant(
-        "pure-power overflow check skipped",
+        "the early cap test of a power skipped",
         "ideal.py",
-        "if s & (s - 1) == 0 and k * (g // s) > EXPONENT_CAP:",
-        "if False:",
+        "_check_cap([*least, *pure], self.nvars, k)",
+        "pass",
         (IDEAL,),
     ),
     Mutant(
-        "a power past the cap reaches the product loop",
+        "the early cap test of a power leaves out the pure powers",
         "ideal.py",
-        "if k > EXPONENT_CAP:",
-        "if False:",
+        "[*least, *pure]",
+        "[*least]",
         (IDEAL,),
     ),
     Mutant(
-        "principal power skips its overflow check",
+        "the early cap test of a power leaves out the least-degree block",
         "ideal.py",
-        "if k * max(_unpack(g, self.nvars)) > EXPONENT_CAP:",
-        "if False:",
+        "[*least, *pure]",
+        "[*pure]",
         (IDEAL,),
+    ),
+    Mutant(
+        "the cap test ignores k",
+        "monomial.py",
+        "EXPONENT_CAP // k",
+        "EXPONENT_CAP",
+        (MONOMIAL, IDEAL),
+    ),
+    Mutant(
+        "product skips its cap test",
+        "ideal.py",
+        "_check_cap(prods, self.nvars)",
+        "pass",
+        (IDEAL,),
+    ),
+    Mutant(
+        "a power step skips its cap test",
+        "ideal.py",
+        "_check_cap(cur, self.nvars)",
+        "pass",
+        (IDEAL,),
+    ),
+    Mutant(
+        "a field too narrow for the sum of two exponents at the cap",
+        "monomial.py",
+        "_W = (2 * EXPONENT_CAP).bit_length() + 1",
+        "_W = (EXPONENT_CAP + 1).bit_length() + 1",
+        (MONOMIAL,),
     ),
     Mutant(
         "classify accepts NaN",
