@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from . import __version__
 from .closedform import predicted_ass, predicted_ntf
 from .decomposition import irreducible_decomposition
-from .ideal import DeadlineExceeded
+from .ideal import DeadlineExceeded, _is_budget
 from .pathfamily import PathCase, ZeroIdealError, classify, ind_ideal
 from .verify import (
     DEFAULT_CELL_BUDGET_SECONDS,
@@ -24,7 +24,6 @@ from .verify import (
     METHOD_DECOMPOSITION,
     METHOD_WITNESS,
     VERDICT_FAIL,
-    _is_budget,
     empirical_astab,
     grid_scan,
     load_config,

@@ -16,7 +16,7 @@ from typing import Iterator, Optional
 from .decomposition import IrreducibleComponent, VarPrime
 from .ideal import _check_deadline
 from .monomial import Monomial, _check_counts
-from .pathfamily import PathCase, ZeroIdealError, _check_cap, classify
+from .pathfamily import PathCase, ZeroIdealError, _check_vertex_cap, classify
 
 __all__ = [
     "predicted_ass",
@@ -70,13 +70,13 @@ def predicted_ass(
     pairs.  Output is in `sort_key` order, by prime size (equivalently level),
     then lexicographically: the length grows with the level, and each level's
     index lists come in lexicographic order.  `deadline` is an optional
-    time.monotonic() timestamp, checked before every _LISTS_PER_CHECK index
-    lists; crossing it raises DeadlineExceeded.  A nonzero cell with n above
+    time.monotonic() instant, tested by `_check_deadline` before every
+    _LISTS_PER_CHECK index lists.  A nonzero cell with n above
     MAX_PATH_VERTICES raises ValueError before any list is built.
     """
     _check_counts(k=k)
     top = min(predicted_astab(n, t), k)
-    _check_cap(n)
+    _check_vertex_cap(n)
     lists = chain.from_iterable(
         _parity_index_lists(n, n - 2 * t + 2 * level) for level in range(1, top + 1)
     )

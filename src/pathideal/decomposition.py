@@ -81,8 +81,8 @@ from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .ideal import MonomialIdeal, _check_deadline
-from .monomial import _W, EXPONENT_CAP, ExponentOverflow, Monomial, _check_counts, _check_ring
-from .monomial import _check_same_ring, _field_table, _first_fields, _guards, _is_count, _pack
+from .monomial import _W, EXPONENT_CAP, Monomial, _check_counts, _check_ring, _check_same_ring
+from .monomial import _field_table, _first_fields, _guards, _pack, _pack_checked
 from .monomial import _pure_powers, _terms, _top
 
 # The number of entries at which a DecompositionCache empties before a store.
@@ -194,11 +194,7 @@ class IrreducibleComponent(_Record, frozen=True):
         _check_ring(nvars, [i for i, _ in items])
         if not items:
             raise ValueError("an irreducible component needs at least one variable power")
-        for i, a in items:
-            if not _is_count(a):
-                raise ValueError(f"pure power exponent must be an integer >= 1, got x{i}^{a!r}")
-            if a > EXPONENT_CAP:
-                raise ExponentOverflow(f"exponent {a} exceeds cap {EXPONENT_CAP}")
+        _pack_checked([a for _, a in items], 1)
         if len({i for i, _ in items}) < len(items):
             raise ValueError(f"variable indices must be distinct, got {items}")
         object.__setattr__(self, "nvars", nvars)
@@ -499,8 +495,8 @@ def irreducible_decomposition(
     Deterministic: independent of cache state and thread count.  Without
     `cache` nothing is memoized; pass one DecompositionCache to share the
     decompositions of generator prefixes across calls (see its docstring).
-    `deadline` is an optional time.monotonic() timestamp, checked once per
-    generator; crossing it raises DeadlineExceeded.
+    `deadline` is an optional time.monotonic() instant, tested by
+    `_check_deadline` once per generator.
     """
     if ideal.is_zero:
         raise ValueError("the zero ideal has no irreducible decomposition")

@@ -5,6 +5,7 @@ The generators are packed integers, in the layout of the `monomial` module docst
 
 from __future__ import annotations
 
+import sys
 import time
 from functools import reduce
 from typing import Iterable, Iterator, Optional, Sequence
@@ -17,12 +18,31 @@ class DeadlineExceeded(RuntimeError):
     """A computation ran past its wall-clock deadline."""
 
 
+def _is_budget(value) -> bool:
+    """The one budget rule: seconds above zero within the float range, as a larger int
+    cannot be added to the clock; a boolean is not a number of seconds."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and 0 < value <= sys.float_info.max
+    )
+
+
+def _check_budget(budget_seconds) -> None:
+    """Raise ValueError unless `budget_seconds` follows the budget rule."""
+    if not _is_budget(budget_seconds):
+        raise ValueError("budget_seconds must be a number in (0, sys.float_info.max]")
+
+
 def _check_deadline(deadline: Optional[float], what: str) -> None:
     """Raise DeadlineExceeded for `what` once time.monotonic() is past `deadline`.
 
-    `deadline` is a time.monotonic() instant; None never fires.
+    `deadline` is a time.monotonic() instant; None and +inf never fire.  A NaN or
+    boolean deadline is no instant: it fails its first test and raises ValueError.
     """
-    if deadline is not None and time.monotonic() > deadline:
+    if deadline is not None and not time.monotonic() <= deadline:
+        if deadline != deadline or isinstance(deadline, bool):
+            raise ValueError(f"deadline must be a time.monotonic() instant, got {deadline!r}")
         raise DeadlineExceeded(f"{what} exceeded its time budget")
 
 
@@ -200,8 +220,8 @@ class MonomialIdeal:
     def power(self, k: int, *, deadline: Optional[float] = None) -> MonomialIdeal:
         """k-th power by iterated product, minimizing after every step.
 
-        `deadline` is a `time.monotonic()` instant, checked on entry, once per row
-        of the product loop and after every minimization: past it, DeadlineExceeded.
+        `deadline` goes to `_check_deadline` on entry, once per row of the product
+        loop and after every minimization; a NaN or boolean one raises ValueError on entry.
         ExponentOverflow exactly when some I^j with j <= k has a minimal generator
         past the cap: each step's minimal generators are tested.  Before any product,
         g^k is tested for each generator g of least degree and each pure power

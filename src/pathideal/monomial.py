@@ -69,6 +69,21 @@ def _check_same_ring(nvars: int, other: int) -> None:
         raise DimensionMismatch(f"operands have {nvars} and {other} variables")
 
 
+def _pack_checked(exponents: Iterable[int], low: int) -> int:
+    """The one exponent rule, packing as it checks: every exponent an int of at least
+    `low` (0 in a monomial, 1 in a pure power) and at most EXPONENT_CAP."""
+    packed = shift = 0
+    for e in exponents:
+        if not isinstance(e, int) or e < low or e.__class__ is bool:
+            words = ("non-negative", "positive")[low]
+            raise ValueError(f"exponents must be {words} integers, got {e!r}")
+        if e > EXPONENT_CAP:
+            raise ExponentOverflow(f"exponent {e} exceeds cap {EXPONENT_CAP}")
+        packed |= e << shift
+        shift += _W
+    return packed
+
+
 def _pack(exponents: Sequence[int]) -> int:
     value = 0
     for e in reversed(exponents):
@@ -184,17 +199,9 @@ class Monomial:
         exps = tuple(exponents)
         if not exps:
             raise ValueError("a monomial needs at least one variable")
-        packed = shift = 0
-        for e in exps:
-            if not isinstance(e, int) or e < 0 or e.__class__ is bool:
-                raise ValueError(f"exponents must be non-negative integers, got {e!r}")
-            if e > EXPONENT_CAP:
-                raise ExponentOverflow(f"exponent {e} exceeds cap {EXPONENT_CAP}")
-            packed |= e << shift
-            shift += _W
+        self._packed = _pack_checked(exps, 0)
         self.exponents = exps
         self.degree = sum(exps)
-        self._packed = packed
 
     # -- constructors ------------------------------------------------------
 

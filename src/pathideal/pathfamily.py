@@ -53,7 +53,7 @@ def classify(n: int, t: int) -> PathCase:
     return PathCase.CASE_GT_2T
 
 
-def _check_cap(n: int) -> None:
+def _check_vertex_cap(n: int) -> None:
     """Refuse a path longer than MAX_PATH_VERTICES before anything is enumerated."""
     if n > MAX_PATH_VERTICES:
         raise ValueError(f"n={n} exceeds the enumeration cap {MAX_PATH_VERTICES}")
@@ -67,7 +67,7 @@ def independent_sets(n: int, t: int) -> list[tuple[int, ...]]:
     """
     if classify(n, t) is PathCase.ZERO:  # checks n and t
         return []
-    _check_cap(n)
+    _check_vertex_cap(n)
     return [
         tuple(c + shift for shift, c in enumerate(combo))
         for combo in combinations(range(1, n - t + 2), t)

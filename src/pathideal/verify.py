@@ -10,7 +10,6 @@ such in the report.
 from __future__ import annotations
 
 import json
-import sys
 import time
 from itertools import takewhile
 from typing import Iterator, Optional, Sequence
@@ -19,8 +18,8 @@ from . import __version__
 from .closedform import _predicted_count, predicted_ass, predicted_astab, witness_monomial
 from .decomposition import DecompositionCache, VarPrime, WitnessCheck, _Record
 from .decomposition import associated_primes, verify_witness
-from .ideal import DeadlineExceeded, _check_deadline
-from .monomial import _check_counts, _is_count
+from .ideal import DeadlineExceeded, _check_budget, _check_deadline, _is_budget
+from .monomial import EXPONENT_CAP, _check_cap, _check_counts, _is_count, _pure_powers
 from .pathfamily import MAX_PATH_VERTICES, PathCase, classify, ind_ideal
 
 METHOD_DECOMPOSITION = "decomposition"
@@ -36,16 +35,6 @@ DEFAULT_CELL_BUDGET_SECONDS = 60.0
 
 class ConfigError(ValueError):
     """A scan configuration failed validation."""
-
-
-def _is_budget(value) -> bool:
-    """Seconds above zero within the float range: a NaN deadline would never fire, and
-    a larger int cannot be added to the clock."""
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and 0 < value <= sys.float_info.max
-    )
 
 
 class VerificationReport(_Record, uncompared=("computed_primes",), hidden=("computed_primes",)):
@@ -121,8 +110,7 @@ def verify_cell(
     _check_counts(n=n, t=t, k=k)
     if method not in (METHOD_DECOMPOSITION, METHOD_WITNESS):
         raise ValueError(f"unknown method {method!r}")
-    if not _is_budget(budget_seconds):
-        raise ValueError("budget_seconds must be a number in (0, sys.float_info.max]")
+    _check_budget(budget_seconds)
     case = classify(n, t)
     if case is PathCase.ZERO:
         return VerificationReport(
@@ -182,8 +170,11 @@ def verify_cell(
 
 def _chain(n: int, t: int, kmax: int, budget_seconds: float) -> Iterator[VerificationReport]:
     """Each cell of I(n, t)^k for k = 1..kmax under `budget_seconds`, built as it is read,
-    with its persistence flag (see `persistence_scan`).  Checks n, t and kmax on the call."""
+    with its persistence flag (see `persistence_scan`).  Checks its arguments on the call."""
     _check_counts(n=n, t=t, kmax=kmax)
+    _check_budget(budget_seconds)  # before any cell or prediction
+    if classify(n, t) is not PathCase.ZERO:  # I(n, t) is squarefree: I^kmax's top exponent is kmax
+        _check_cap(_pure_powers([(1, 1)]), 1, kmax)
 
     def reports() -> Iterator[VerificationReport]:
         previous: Optional[frozenset[VarPrime]] = frozenset()
@@ -207,7 +198,7 @@ def persistence_scan(
     contains the computed set at k-1 (vacuously true at k = 1).  The flag is
     None when either set is unknown: the cell at k or at k-1 is SKIPPED or ZERO.
     """
-    chain = _chain(n, t, kmax, budget_seconds)  # checks the counts before kmax's bound
+    chain = _chain(n, t, kmax, budget_seconds)  # checks the counts, budget and cap before kmax >= 2
     if kmax < 2:
         raise ValueError("kmax must be at least 2")
     return list(chain)
@@ -304,6 +295,8 @@ def validate_config(config: dict) -> dict:
         merged[key] = list(rng)  # a copy: a defaulted range is DEFAULT_CONFIG's own list
     if merged["n_range"][1] > MAX_PATH_VERTICES:
         raise ConfigError(f"n_range may not go above the path-vertex cap {MAX_PATH_VERTICES}")
+    if merged["k_range"][1] > EXPONENT_CAP:
+        raise ConfigError(f"k_range may not go above the exponent cap {EXPONENT_CAP}")
     if merged["method"] not in (METHOD_DECOMPOSITION, METHOD_WITNESS):
         raise ConfigError(f"method must be {METHOD_DECOMPOSITION!r} or {METHOD_WITNESS!r}")
     if not _is_budget(merged["cell_budget_seconds"]):

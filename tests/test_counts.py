@@ -1,18 +1,26 @@
-"""One count rule: every public n, t, k, kmax, level and nvars is a positive int.
+"""One rule per input bound, each decided in one module.
 
+One count rule: every public n, t, k, kmax, level and nvars is a positive int.
 NaN, infinity, fractions, booleans, 0 and -1 each raise ValueError from the
 library, named in the message, and 0 and -1 in any integer flag make the
-command line exit 2 with that message.  And one ring-agreement rule: operands
-on different variable counts raise DimensionMismatch.
+command line exit 2 with that message.  One ring-agreement rule: operands
+on different variable counts raise DimensionMismatch.  One time rule, in
+`ideal.py`: a deadline is a time.monotonic() instant, so NaN and booleans are
+refused, and a chain refuses a bad budget before any cell.  One exponent rule,
+in `monomial.py`, for a monomial and a component's pure powers alike.
 """
 
+import ast
 import inspect
 from functools import partial
+from pathlib import Path
 
 import pytest
 
+import pathideal
 from pathideal import (
     DimensionMismatch,
+    ExponentOverflow,
     IrreducibleComponent,
     Monomial,
     MonomialIdeal,
@@ -35,6 +43,8 @@ from pathideal import (
     witness_monomial,
 )
 from pathideal.cli import main
+from pathideal.decomposition import associated_primes, irreducible_decomposition
+from test_verify import BAD_BUDGETS, BUDGET_RULE
 
 NON_COUNTS = [float("nan"), float("inf"), 2.5, True, 0, -1]
 
@@ -190,3 +200,106 @@ def test_ring_mismatch_rejected(function, args, counts):
     with pytest.raises(DimensionMismatch) as refusal:
         function(*args)
     assert str(refusal.value) == "operands have {} and {} variables".format(*counts)
+
+
+# (name, a call taking the deadline); each reaches its first deadline test
+DEADLINE_CALLS = [
+    ("MonomialIdeal.power", lambda deadline: ind_ideal(5, 2).power(2, deadline=deadline)),
+    ("predicted_ass", lambda deadline: predicted_ass(5, 2, 2, deadline=deadline)),
+    (
+        "irreducible_decomposition",
+        lambda deadline: irreducible_decomposition(ind_ideal(5, 2), deadline=deadline),
+    ),
+    (
+        "associated_primes",
+        lambda deadline: associated_primes(ind_ideal(5, 2), deadline=deadline),
+    ),
+]
+DEADLINE_ROWS = [pytest.param(call, id=name) for name, call in DEADLINE_CALLS]
+
+
+@pytest.mark.parametrize("deadline", [float("nan"), True, False], ids=repr)
+@pytest.mark.parametrize("call", DEADLINE_ROWS)
+def test_non_instant_deadlines_rejected(call, deadline):
+    # a NaN deadline once never fired, and True fired as if time had run out
+    with pytest.raises(ValueError) as refusal:
+        call(deadline)
+    assert str(refusal.value) == f"deadline must be a time.monotonic() instant, got {deadline!r}"
+
+
+@pytest.mark.parametrize("call", DEADLINE_ROWS)
+def test_unbounded_deadlines_run_to_the_end(call):
+    assert call(float("inf")) == call(None)
+
+
+@pytest.mark.parametrize("budget", BAD_BUDGETS)
+@pytest.mark.parametrize("chain", [persistence_scan, empirical_astab])
+@pytest.mark.parametrize("n", [2, 5], ids=["zero", "nonzero"])
+def test_chains_refuse_a_bad_budget_on_the_call(chain, n, budget):
+    # on the zero cell empirical_astab once raised ZeroIdealError from its prediction first
+    with pytest.raises(ValueError) as refusal:
+        chain(n, 2, 3, budget_seconds=budget)
+    assert str(refusal.value) == f"budget_seconds must be {BUDGET_RULE}"
+
+
+# (class, exponent, error, message) for a monomial x1^e and a component <x1^e>
+EXPONENT_REFUSALS = [
+    (Monomial, -1, ValueError, "exponents must be non-negative integers, got -1"),
+    (Monomial, True, ValueError, "exponents must be non-negative integers, got True"),
+    (Monomial, 1048577, ExponentOverflow, "exponent 1048577 exceeds cap 1048576"),
+    (IrreducibleComponent, -1, ValueError, "exponents must be positive integers, got -1"),
+    (IrreducibleComponent, True, ValueError, "exponents must be positive integers, got True"),
+    (IrreducibleComponent, 1048577, ExponentOverflow, "exponent 1048577 exceeds cap 1048576"),
+    (IrreducibleComponent, 0, ValueError, "exponents must be positive integers, got 0"),
+]
+BUILD = {
+    Monomial: lambda e: Monomial((e,)),
+    IrreducibleComponent: lambda e: IrreducibleComponent(1, ((1, e),)),
+}
+
+
+@pytest.mark.parametrize(
+    "cls, exponent, error, message",
+    EXPONENT_REFUSALS,
+    ids=[f"{row[0].__name__}-{row[1]!r}" for row in EXPONENT_REFUSALS],
+)
+def test_bad_exponents_rejected(cls, exponent, error, message):
+    with pytest.raises(ValueError) as refusal:
+        BUILD[cls](exponent)
+    assert type(refusal.value) is error and str(refusal.value) == message
+
+
+def test_each_input_bound_has_one_owner():
+    trees = {
+        path.name: ast.parse(path.read_text())
+        for path in Path(pathideal.__file__).parent.glob("*.py")
+    }
+    defined = {
+        (name, node.name)
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+    }
+    # the budget rule, its raising form and the deadline test live in ideal.py alone
+    for function in ("_is_budget", "_check_budget", "_check_deadline"):
+        assert {name for name, defined_name in defined if defined_name == function} == {"ideal.py"}
+    readers = {
+        name
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "float_info"
+    }
+    assert readers == {"ideal.py"}
+    # no module imports a private name of the verifier
+    private = [
+        (name, alias.name)
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "verify"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+    # and both value types refuse a bad exponent through monomial's one exponent rule
+    for cls in (Monomial, IrreducibleComponent):
+        assert "_pack_checked" in cls.__init__.__code__.co_names, cls

@@ -451,7 +451,10 @@ class TestGuardBits:
     def test_layout_has_one_owner(self):
         # every layout name either module reads is monomial's own object
         for module, names in (
-            (decomposition, ("_pack", "_guards", "_top", "_field_table", "_first_fields", "_W")),
+            (
+                decomposition,
+                ("_pack", "_pack_checked", "_guards", "_top", "_field_table", "_first_fields", "_W"),
+            ),
             (
                 ideal,
                 ("_unpack", "_guards", "_top", "_excess", "_by_degree", "_check_cap", "_supports"),
@@ -464,6 +467,8 @@ class TestGuardBits:
         assert not {"_W", "_FIELD"} & set(vars(ideal))
         # and ideal tests the cap only through monomial's _check_cap
         assert not {"EXPONENT_CAP", "ExponentOverflow"} & set(vars(ideal))
+        # and decomposition checks a component's exponents only through monomial's _pack_checked
+        assert not {"ExponentOverflow", "_is_count"} & set(vars(decomposition))
         assert "_FIELD" not in vars(decomposition)
 
         def names_read(code):

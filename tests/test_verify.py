@@ -25,7 +25,7 @@ from pathideal import (
 from pathideal.cli import build_parser, main
 from pathideal.decomposition import WITNESS_IN_POWER, VarPrime
 from pathideal.ideal import DeadlineExceeded, MonomialIdeal
-from pathideal.monomial import EXPONENT_CAP
+from pathideal.monomial import EXPONENT_CAP, ExponentOverflow
 from pathideal.pathfamily import ZeroIdealError, ind_ideal
 from pathideal.verify import (
     DEFAULT_CELL_BUDGET_SECONDS,
@@ -61,6 +61,15 @@ def skip_power(monkeypatch, skipped_k):
 
     monkeypatch.setattr(MonomialIdeal, "power", power)
     return deadlines
+
+
+def forbid_cells(monkeypatch):
+    """Make verifying any cell fail the test: for refusals that must come before any cell."""
+
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(verify, "verify_cell", no_cell)
 
 
 def fault_primes(monkeypatch, faults):
@@ -298,6 +307,24 @@ def test_chains_walk_the_same_cells(monkeypatch, skipped_k):
     assert cells == persistence_cells[: skipped_k or 3]
 
 
+@pytest.mark.parametrize("chain", [persistence_scan, empirical_astab])
+def test_chain_past_the_cap_refused_on_the_call(monkeypatch, chain):
+    # every generator of I(3, 2) is squarefree, so its power past the cap overflows;
+    # the chain refuses it before the million powers below the cap, after the budget
+    forbid_cells(monkeypatch)
+    with pytest.raises(ValueError, match=re.escape(f"budget_seconds must be {BUDGET_RULE}")):
+        chain(3, 2, EXPONENT_CAP + 1, budget_seconds=0)
+    with pytest.raises(ExponentOverflow) as refusal:
+        chain(3, 2, EXPONENT_CAP + 1)
+    assert str(refusal.value) == f"a product exponent exceeds cap {EXPONENT_CAP}"
+
+
+def test_chain_cap_spares_the_cap_itself_and_a_zero_cell():
+    assert next(verify._chain(3, 2, EXPONENT_CAP, 60.0)).verdict == VERDICT_PASS
+    # a zero cell has no generator, so no power of it overflows
+    assert next(verify._chain(2, 2, EXPONENT_CAP + 1, 60.0)).verdict == VERDICT_ZERO
+
+
 class TestEmpiricalAstab:
     def test_wide_case_matches_prediction(self):
         result = empirical_astab(5, 2, 4)
@@ -331,10 +358,7 @@ class TestEmpiricalAstab:
         assert len(deadlines) == 2 and all(earliest <= d <= latest for d in deadlines)
 
     def test_zero_ideal_raises_before_any_cell(self, monkeypatch):
-        def no_cell(*args, **kwargs):
-            raise AssertionError("a cell ran")
-
-        monkeypatch.setattr(verify, "verify_cell", no_cell)
+        forbid_cells(monkeypatch)
         with pytest.raises(ZeroIdealError):
             empirical_astab(2, 2, 3)
 
@@ -516,6 +540,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="cap 24"):
             validate_config({"n_range": [20, 26]})
 
+    @pytest.mark.parametrize("t_values", [[2], [9]], ids=["nonzero", "zero"])
+    def test_k_range_past_the_exponent_cap_rejected(self, t_values):
+        # the powers of a squarefree ideal reach exponent k; zero grids are refused too
+        at_cap = {"t_values": t_values, "n_range": [3, 3], "k_range": [1, EXPONENT_CAP]}
+        assert validate_config(at_cap)["k_range"] == [1, EXPONENT_CAP]
+        with pytest.raises(ConfigError) as exc:
+            validate_config({**at_cap, "k_range": [1, EXPONENT_CAP + 1]})
+        assert str(exc.value) == f"k_range may not go above the exponent cap {EXPONENT_CAP}"
+
     def test_non_object_is_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text("[1, 2]")
@@ -666,6 +699,23 @@ class TestCli:
         monkeypatch.setattr(verify, "ind_ideal", over)
         assert main([command, "--n", "1", "--t", "1", "--k", "2"]) == 2
         assert capsys.readouterr() == ("", f"error: a product exponent exceeds cap {EXPONENT_CAP}\n")
+
+    @pytest.mark.parametrize("command", ["persistence", "astab", "scan"])
+    def test_chain_past_the_cap_exits_two_at_once(self, command, monkeypatch, tmp_path, capsys):
+        # each once verified every power below the cap before the product loop refused
+        forbid_cells(monkeypatch)
+        if command == "scan":
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({**ONE_CELL, "n_range": [3, 3], "k_range": [1, 1048577]}))
+            argv = ["scan", "--config", str(config), "--out", str(tmp_path / "r.json")]
+            message = "config error: k_range may not go above the exponent cap 1048576\n"
+        else:
+            argv = [command, "--n", "3", "--t", "2", "--kmax", "1048577"]
+            message = "error: a product exponent exceeds cap 1048576\n"
+        start = time.monotonic()
+        assert main(argv) == 2
+        assert time.monotonic() - start < 1.0
+        assert capsys.readouterr() == ("", message)
 
     def test_ass_pass_exit_zero(self, capsys):
         assert main(["ass", "--n", "5", "--t", "2", "--k", "2"]) == 0

@@ -141,10 +141,31 @@ MUTANTS = (
     ),
     Mutant(
         "_is_budget accepts infinity",
-        "verify.py",
+        "ideal.py",
         "and 0 < value <= sys.float_info.max",
         "and 0 < value",
         (VERIFY, GOLDEN_CLI),
+    ),
+    Mutant(
+        "_chain skips its budget check",
+        "verify.py",
+        "_check_budget(budget_seconds)  # before any cell or prediction",
+        "pass",
+        (COUNTS,),
+    ),
+    Mutant(
+        "_chain skips its cap check",
+        "verify.py",
+        "_check_cap(_pure_powers([(1, 1)]), 1, kmax)",
+        "pass",
+        (VERIFY,),
+    ),
+    Mutant(
+        "the config's k_range bound dropped",
+        "verify.py",
+        'if merged["k_range"][1] > EXPONENT_CAP:',
+        "if False:",
+        (VERIFY,),
     ),
     Mutant(
         "pathideal astab ignores its budget",
@@ -362,7 +383,7 @@ MUTANTS = (
     ),
     Mutant(
         "a budget past the float range raises OverflowError",
-        "verify.py",
+        "ideal.py",
         "and 0 < value <= sys.float_info.max",
         "and 0 < float(value) <= sys.float_info.max",
         (VERIFY,),
@@ -370,9 +391,16 @@ MUTANTS = (
     Mutant(
         "Monomial accepts a boolean exponent",
         "monomial.py",
-        "if not isinstance(e, int) or e < 0 or e.__class__ is bool:",
-        "if not isinstance(e, int) or e < 0:",
+        "if not isinstance(e, int) or e < low or e.__class__ is bool:",
+        "if not isinstance(e, int) or e < low:",
         (MONOMIAL,),
+    ),
+    Mutant(
+        "the exponent rule ignores its lower bound, so a component accepts x1^0",
+        "monomial.py",
+        "if not isinstance(e, int) or e < low or e.__class__ is bool:",
+        "if not isinstance(e, int) or e < 0 or e.__class__ is bool:",
+        (COUNTS,),
     ),
     # intersection, the squarefree oracle, prime and component checks, counts
     Mutant(
@@ -560,10 +588,10 @@ MUTANTS = (
         (PATHFAMILY, CLOSEDFORM),
     ),
     Mutant(
-        "independent_sets checks the cap before a zero cell",
+        "independent_sets checks the vertex cap before a zero cell",
         "pathfamily.py",
         "if classify(n, t) is PathCase.ZERO:  # checks n and t",
-        "if _check_cap(n) or classify(n, t) is PathCase.ZERO:",
+        "if _check_vertex_cap(n) or classify(n, t) is PathCase.ZERO:",
         (PATHFAMILY, VERIFY),
     ),
     Mutant(
@@ -576,7 +604,7 @@ MUTANTS = (
     Mutant(
         "predicted_ass has no path-vertex cap",
         "closedform.py",
-        "_check_cap(n)",
+        "_check_vertex_cap(n)",
         "None",
         (CLOSEDFORM, VERIFY),
     ),
@@ -591,8 +619,8 @@ MUTANTS = (
     Mutant(
         "Monomial packs in the wrong variable order",
         "monomial.py",
-        "        for e in exps:",
-        "        for e in reversed(exps):",
+        "    for e in exponents:",
+        "    for e in reversed(exponents):",
         (IDEAL,),
     ),
     Mutant(
@@ -634,9 +662,16 @@ MUTANTS = (
     Mutant(
         "deadline check never fires",
         "ideal.py",
-        "if deadline is not None and time.monotonic() > deadline:",
+        "if deadline is not None and not time.monotonic() <= deadline:",
         "if False:",
         (IDEAL, DECOMPOSITION, CLOSEDFORM),
+    ),
+    Mutant(
+        "a NaN deadline is treated as pending",
+        "ideal.py",
+        "if deadline is not None and not time.monotonic() <= deadline:",
+        "if deadline is not None and time.monotonic() > deadline:",
+        (COUNTS,),
     ),
 )
 
